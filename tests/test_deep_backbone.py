@@ -1,0 +1,38 @@
+"""A backbone deeper than the interpreter's recursion limit.
+
+A path longer than ``sys.getrecursionlimit()`` nodes gives a greedy
+backbone of about the same depth.  It must run end to end through
+``run_experiment`` in the centralized and the collision-detecting mode.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from rumorcast.model import NetworkGraph
+from rumorcast.scenario import Scenario, run_experiment
+
+PATH_NODES = 1200
+
+
+def deep_path() -> NetworkGraph:
+    return NetworkGraph.from_adjacency(
+        {i: [j for j in (i - 1, i + 1) if 0 <= j < PATH_NODES]
+         for i in range(PATH_NODES)})
+
+
+@pytest.mark.parametrize("mode", ["centralized", "distributed-cd"])
+def test_path_deeper_than_recursion_limit(mode):
+    assert PATH_NODES > sys.getrecursionlimit()
+    sc = Scenario(name="deep-path", network=deep_path(),
+                  sources=(0, PATH_NODES // 2, PATH_NODES - 1),
+                  compression=2, mode=mode)
+    report = run_experiment(sc, [0])
+    (run,) = report.outcomes
+    assert report.ok, run.violations
+    assert run.messages >= run.message_lb
+    assert run.makespan >= run.time_lb
+    if mode == "centralized":
+        assert run.collisions == 0
