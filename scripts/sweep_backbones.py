@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from collections import deque
 
 from rumorcast.backbone import (
     BRUTE_FORCE_NODE_LIMIT,
@@ -26,7 +25,7 @@ from rumorcast.backbone import (
 from rumorcast.bounds import message_lower_bound
 from rumorcast.central import multibroadcast_schedule, simulate_schedule
 from rumorcast.fixtures import gen_random_udg, pick_sources
-from rumorcast.model import diameter
+from rumorcast.model import NetworkGraph, diameter
 
 HEADER = ("seed", "n", "max_degree", "diam", "greedy_size", "bounded_size",
           "oracle_size", "bounded_member_diam", "messages", "makespan",
@@ -35,18 +34,8 @@ HEADER = ("seed", "n", "max_degree", "diam", "greedy_size", "bounded_size",
 
 def member_hop_diameter(g, members) -> int:
     mset = set(members)
-    worst = 0
-    for s in members:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if v in mset and v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        worst = max(worst, max(dist.values()))
-    return worst
+    return diameter(NetworkGraph.from_adjacency(
+        {m: [v for v in g.adjacency[m] if v in mset] for m in members}))
 
 
 def sweep_row(seed: int, n: int, args) -> tuple:

@@ -6,6 +6,11 @@ message regardless of how many rumors it carries, up to the compression
 factor.  The model is an abstract broadcast medium: every out-neighbor of a
 sender hears the batch, a node may send and receive in the same round, and
 two senders sharing an out-neighbor interfere at that common receiver.
+
+Multi-broadcast is planned once by ``plan_multibroadcast``: the collection
+tree, subtree loads, member depths, pruned distribution senders and fixed
+chunks.  ``multibroadcast_schedule`` times that ``Plan`` round by round,
+and the distributed simulator runs the same ``Plan`` with slotted rounds.
 """
 
 from __future__ import annotations
@@ -149,20 +154,119 @@ def broadcast_schedule(g: NetworkGraph, bb: Backbone,
     return _rounds_from_map(by_round)
 
 
+@dataclass(frozen=True)
+class Plan:
+    """The multi-broadcast plan that both transports execute.
+
+    Units are the backbone members plus every non-member source, which
+    hangs off its smallest member neighbor.  ``parent`` links each unit to
+    the unit it hands rumors to (None for the root); ``own`` and ``load``
+    hold each unit's own rumors and its whole subtree's rumors, sorted.
+    ``depth`` is each member's hop depth below the root.  ``senders`` are
+    the members left to distribute after pruning; pruning removes only
+    leaves, so a sender's depth in the pruned tree is its backbone depth.
+    ``chunks`` are the fixed batches of at most ``compression`` rumors
+    that the root pushes back down.
+    """
+
+    root: int | str
+    compression: int
+    rumors: tuple[Rumor, ...]
+    parent: Mapping
+    own: Mapping[int | str, tuple[Rumor, ...]]
+    load: Mapping[int | str, tuple[Rumor, ...]]
+    depth: Mapping[int | str, int]
+    senders: frozenset
+    chunks: tuple[Batch, ...]
+
+    def batches(self, unit: int | str) -> tuple[Batch, ...]:
+        """A unit's subtree load cut into batches of at most c rumors."""
+        return _chunked(self.load[unit], self.compression)
+
+
+def _chunked(rumors: Sequence[Rumor], size: int) -> tuple[Batch, ...]:
+    ordered = sorted(rumors)
+    return tuple(Batch(tuple(ordered[i:i + size]))
+                 for i in range(0, len(ordered), size))
+
+
+def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
+                        sources: Sequence[int | str],
+                        compression: int) -> Plan:
+    """Build the collection and distribution trees for one rumor per source.
+
+    Source i carries ``Rumor(sources[i], i)``.  Subtree loads come from one
+    root-first pass read backwards, so the backbone depth is not limited
+    by recursion.  Distribution pruning repeatedly drops the largest-id
+    leaf of the sender tree whose removal leaves every node covered by a
+    sender or a sender's neighbor.  The caller validates the backbone, the
+    sources and the compression factor.
+    """
+    members = set(bb.members)
+    rumors = tuple(Rumor(s, i) for i, s in enumerate(sources))
+    parent: dict = dict(bb.parent)
+    own: dict = {u: [] for u in members}
+    for r in rumors:
+        if r.source not in own:
+            own[r.source] = []
+            parent[r.source] = _attach_member(g, bb, r.source)
+        own[r.source].append(r)
+
+    kids: dict = {m: [] for m in members}
+    for m in bb.members:
+        if m != bb.root:
+            kids[bb.parent[m]].append(m)
+    depth = {bb.root: 0}
+    order = [bb.root]
+    for u in order:  # grows while iterated: a breadth-first walk
+        for v in kids[u]:
+            depth[v] = depth[u] + 1
+            order.append(v)
+    load = {u: list(rs) for u, rs in own.items()}
+    for u in reversed(order + [u for u in own if u not in members]):
+        if u != bb.root:
+            load[parent[u]].extend(load[u])
+
+    # cover[v]: senders that are v or have v as an out-neighbor
+    cover = dict.fromkeys(g.adjacency, 0)
+    for m in members:
+        for v in (m, *g.adjacency[m]):
+            cover[v] += 1
+    live_kids = {m: len(kids[m]) for m in members}
+    senders = set(members)
+
+    def prunable(m) -> bool:
+        return (m in senders and m != bb.root and not live_kids[m]
+                and all(cover[v] > 1 for v in (m, *g.adjacency[m])))
+
+    descending = sorted(members, reverse=True)
+    while (m := next(filter(prunable, descending), None)) is not None:
+        senders.remove(m)
+        for v in (m, *g.adjacency[m]):
+            cover[v] -= 1
+        live_kids[bb.parent[m]] -= 1
+
+    return Plan(root=bb.root, compression=compression, rumors=rumors,
+                parent=parent,
+                own={u: tuple(sorted(rs)) for u, rs in own.items()},
+                load={u: tuple(sorted(rs)) for u, rs in load.items()},
+                depth=depth, senders=frozenset(senders),
+                chunks=_chunked(rumors, compression))
+
+
 def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
                             sources: Sequence[int | str],
                             compression: int) -> Schedule:
     """Deliver one rumor per source to every node, batching rumors.
 
     At most ``compression`` rumors ride in one message.  Collection: rumors
-    climb the backbone arborescence; a relay forwards a full batch as soon
+    climb the plan's collection tree; a relay forwards a full batch as soon
     as it holds one and drains the remainder once its whole subtree has
     arrived, so a relay with s subtree rumors sends exactly
-    ceil(s/compression) messages.  Distribution: the root re-packs all
-    rumors into fixed chunks that ripple down the arborescence in a
-    pipeline, one chunk per relay per round; members whose transmission
-    would cover nobody new are pruned first.  A single source delegates to
-    broadcast_schedule, with an identical message count.
+    ceil(s/compression) messages.  Distribution: the plan's fixed chunks
+    ripple down the pruned sender tree in a pipeline, one chunk per relay
+    per round.  A single source delegates to broadcast_schedule, with an
+    identical message count.
     """
     c = compression
     if c < 1:
@@ -175,51 +279,23 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
     if len(sources) == 1:
         return broadcast_schedule(g, bb, sources[0])
     validate_backbone(g, bb)
-
-    members = set(bb.members)
-    rumors = [Rumor(s, i) for i, s in enumerate(sources)]
-
-    # planner units: members plus non-member sources hanging off their
-    # attach member; parent links define the collection tree
-    parent: dict = dict(bb.parent)
-    own: dict = {u: [] for u in members}
-    for r in rumors:
-        if r.source in members:
-            own[r.source].append(r)
-        else:
-            hook = _attach_member(g, bb, r.source)
-            if r.source not in own:
-                own[r.source] = []
-                parent[r.source] = hook
-            own[r.source].append(r)
-    units = set(own)
-
-    children: dict = {u: set() for u in units}
-    for u in units:
-        p = parent[u]
-        if p is not None:
-            children[p].add(u)
-
-    expected: dict = {u: len(own[u]) for u in units}
-
-    def subtree_total(u) -> int:
-        return expected[u] + sum(subtree_total(v) for v in children[u])
-
-    need = {u: subtree_total(u) for u in units}
+    plan = plan_multibroadcast(g, bb, sources, c)
 
     # collection: round-by-round greedy pipeline
-    unsent = {u: sorted(own[u]) for u in units}
-    received = {u: len(own[u]) for u in units}
+    units = sorted(plan.own)
+    root = plan.root
+    need = {u: len(plan.load[u]) for u in units}
+    unsent = {u: list(plan.own[u]) for u in units}
+    received = {u: len(plan.own[u]) for u in units}
     by_round: dict[int, list[Transmission]] = {}
     t = 0
-    root = bb.root
     while any(u != root and (unsent[u] or received[u] < need[u])
               for u in units):
         t += 1
         if t > PLANNER_ROUND_CAP:
             raise ScheduleError("collection planner did not converge")
         arrivals: dict = {}
-        for u in sorted(units):
+        for u in units:
             if u == root:
                 continue
             backlog = unsent[u]
@@ -228,51 +304,16 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
                 batch, unsent[u] = backlog[:c], backlog[c:]
                 by_round.setdefault(t, []).append(
                     Transmission(u, _batch(batch)))
-                arrivals.setdefault(parent[u], []).extend(batch)
+                arrivals.setdefault(plan.parent[u], []).extend(batch)
         for p, got in arrivals.items():
             unsent[p] = sorted(unsent[p] + got)
             received[p] += len(got)
-    collect_end = t
 
-    # distribution: fixed chunks pipelined down the pruned arborescence
-    ordered = sorted(rumors)
-    chunk_count = -(-len(ordered) // c)
-    chunks = [_batch(ordered[i * c:(i + 1) * c]) for i in range(chunk_count)]
-
-    senders = set(members)
-    pruned = True
-    while pruned:
-        pruned = False
-        for m in sorted(senders, reverse=True):
-            if m == root:
-                continue
-            if any(parent.get(x) == m for x in senders if x in members):
-                continue  # not a leaf of the remaining sender tree
-            rest = senders - {m}
-            covered = set(rest)
-            for w in rest:
-                covered.update(g.adjacency[w])
-            if covered == set(g.node_ids):
-                senders.remove(m)
-                pruned = True
-                break
-
-    depth_in_senders = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(senders):
-                if bb.parent.get(v) == u and v not in depth_in_senders:
-                    depth_in_senders[v] = depth_in_senders[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-
-    for m in senders:
-        for j, chunk in enumerate(chunks, start=1):
-            t_send = collect_end + j + depth_in_senders[m]
-            by_round.setdefault(t_send, []).append(Transmission(m, chunk))
-
+    # distribution: chunk j leaves a sender at depth d in round t + j + d
+    for m in plan.senders:
+        for j, chunk in enumerate(plan.chunks, start=1):
+            by_round.setdefault(t + j + plan.depth[m], []).append(
+                Transmission(m, chunk))
     return _rounds_from_map(by_round)
 
 

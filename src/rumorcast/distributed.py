@@ -9,6 +9,11 @@ second half.  In the acknowledgement mode, each addressed listener that
 received the data picks a random second-half slot and acks; unacknowledged
 listeners stay on the sender's list for the next round.
 
+Full runs execute the centralized module's multi-broadcast ``Plan`` stage
+by stage: non-member sources hand off, member depth bands forward their
+subtree loads to the root, then each chunk ripples down the pruned sender
+tree.  The rounds inside each stage are randomized.
+
 Every node owns an independent deterministic random stream derived from
 (seed, node id), so runs replay bit-for-bit.  A node transmits in at most
 one slot per round: data senders never echo, and ackers never send data.
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
-from .central import Rumor, Batch
+from .central import Plan, plan_multibroadcast
 from .model import ModelError, NetworkGraph
 
 
@@ -175,6 +180,56 @@ def _emit(trace: IO | None, record: SlotRecord) -> None:
         trace.write(record.to_json() + "\n")
 
 
+def _audible(g: NetworkGraph, talking: list) -> dict:
+    """Listener -> the talkers it hears in one slot; talkers are deaf."""
+    audible: dict = {}
+    for v in g.node_ids:
+        if v in talking:
+            continue
+        heard = [u for u in talking if u in g.in_neighbors(v)]
+        if heard:
+            audible[v] = heard
+    return audible
+
+
+def _log_slot(records: list, trace: IO | None, round_index: int, slot: int,
+              kind: str, talking: list, audible: Mapping) -> None:
+    for u in talking:
+        ok = tuple(sorted(v for v, heard in audible.items()
+                          if heard == [u]))
+        bad = tuple(sorted(v for v, heard in audible.items()
+                           if u in heard and len(heard) > 1))
+        rec = SlotRecord(round_index, slot, u, kind, ok, bad)
+        records.append(rec)
+        _emit(trace, rec)
+
+
+def _data_half(g: NetworkGraph, states: Mapping, senders: list,
+               slot_of: Mapping, records: list, round_index: int,
+               trace: IO | None) -> tuple[set, dict, int]:
+    """First half-round: every sender sends its front batch in its slot.
+
+    A listener hearing exactly one talker takes the batch.  Returns the
+    listeners that got data, each listener's first collision slot, and
+    the number of collisions heard.
+    """
+    got_data: set = set()
+    first_collision: dict = {}
+    collisions_heard = 0
+    for s in sorted(set(slot_of.values())):
+        talking = [u for u in senders if slot_of[u] == s]
+        audible = _audible(g, talking)
+        for v, heard in audible.items():
+            if len(heard) == 1:
+                states[v].held_rumors.update(states[heard[0]].pending[0].rumors)
+                got_data.add(v)
+            else:
+                collisions_heard += 1
+                first_collision.setdefault(v, s)
+        _log_slot(records, trace, round_index, s, "data", talking, audible)
+    return got_data, first_collision, collisions_heard
+
+
 def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
                  cfg: SimConfig, *, round_index: int = 1,
                  trace: IO | None = None) -> RoundLog:
@@ -201,54 +256,17 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     slot_of = {u: states[u].rng_stream.randint(1, half) for u in senders}
 
     records: list[SlotRecord] = []
-    collisions_heard = 0
-    first_collision: dict = {}
-    for s in sorted(set(slot_of.values())):
-        talking = [u for u in senders if slot_of[u] == s]
-        audible: dict = {}
-        for v in g.node_ids:
-            if v in talking:
-                continue  # deaf while transmitting
-            heard = [u for u in talking if u in g.in_neighbors(v)]
-            if heard:
-                audible[v] = heard
-        for v, heard in audible.items():
-            if len(heard) == 1:
-                states[v].held_rumors.update(states[heard[0]].pending[0].rumors)
-            else:
-                collisions_heard += 1
-                first_collision.setdefault(v, s)
-        for u in talking:
-            ok = tuple(sorted(v for v, heard in audible.items()
-                              if heard == [u]))
-            bad = tuple(sorted(v for v, heard in audible.items()
-                               if u in heard and len(heard) > 1))
-            rec = SlotRecord(round_index, s, u, "data", ok, bad)
-            records.append(rec)
-            _emit(trace, rec)
+    _, first_collision, collisions_heard = _data_half(
+        g, states, senders, slot_of, records, round_index, trace)
 
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
     for s in sorted(set(echoers.values())):
         yelling = sorted(v for v, es in echoers.items() if es == s)
-        audible = {}
-        for w in g.node_ids:
-            if w in yelling:
-                continue
-            heard = [v for v in yelling if v in g.in_neighbors(w)]
-            if heard:
-                audible[w] = heard
-        for w, heard in audible.items():
-            if len(heard) > 1:
-                collisions_heard += 1
-        for v in yelling:
-            ok = tuple(sorted(w for w, heard in audible.items()
-                              if heard == [v]))
-            bad = tuple(sorted(w for w, heard in audible.items()
-                               if v in heard and len(heard) > 1))
-            rec = SlotRecord(round_index, s, v, "error", ok, bad)
-            records.append(rec)
-            _emit(trace, rec)
+        audible = _audible(g, yelling)
+        collisions_heard += sum(1 for heard in audible.values()
+                                if len(heard) > 1)
+        _log_slot(records, trace, round_index, s, "error", yelling, audible)
 
     succeeded = set()
     for u in senders:
@@ -293,31 +311,8 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     slot_of = {u: states[u].rng_stream.randint(1, half) for u in senders}
 
     records: list[SlotRecord] = []
-    collisions_heard = 0
-    got_data: set = set()
-    for s in sorted(set(slot_of.values())):
-        talking = [u for u in senders if slot_of[u] == s]
-        audible: dict = {}
-        for v in g.node_ids:
-            if v in talking:
-                continue
-            heard = [u for u in talking if u in g.in_neighbors(v)]
-            if heard:
-                audible[v] = heard
-        for v, heard in audible.items():
-            if len(heard) == 1:
-                states[v].held_rumors.update(states[heard[0]].pending[0].rumors)
-                got_data.add(v)
-            else:
-                collisions_heard += 1
-        for u in talking:
-            ok = tuple(sorted(v for v, heard in audible.items()
-                              if heard == [u]))
-            bad = tuple(sorted(v for v, heard in audible.items()
-                               if u in heard and len(heard) > 1))
-            rec = SlotRecord(round_index, s, u, "data", ok, bad)
-            records.append(rec)
-            _emit(trace, rec)
+    got_data, _, collisions_heard = _data_half(
+        g, states, senders, slot_of, records, round_index, trace)
 
     # every listener that received data this round acks once; ackers are
     # never simultaneously data senders, so one slot each suffices
@@ -355,121 +350,46 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
                     collisions_heard=collisions_heard)
 
 
-def _chunked(rumors: Sequence[Rumor], size: int) -> list[Batch]:
-    ordered = sorted(rumors)
-    return [Batch(tuple(ordered[i:i + size]))
-            for i in range(0, len(ordered), size)]
+def _levels(nodes: Iterable, depth: Mapping) -> list[list]:
+    """Nodes grouped by depth, root level first, each level sorted."""
+    nodes = sorted(nodes)
+    levels: list[list] = [[] for _ in range(max(depth[u] for u in nodes) + 1)]
+    for u in nodes:
+        levels[depth[u]].append(u)
+    return levels
 
 
-def _collection_stages(g: NetworkGraph, bb: Backbone,
-                       rumors: Sequence[Rumor], compression: int):
+def _collection_stages(plan: Plan):
     """Stages of (unit, batches, audience) triples, deepest first.
 
-    Mirrors the centralized collection tree: non-member sources hand their
-    rumors to their smallest member neighbor, then each depth band forwards
-    whole subtree loads to parents.  Within a stage all units contend; a
-    unit's audience is the single node that must confirm reception.
+    Non-member sources first hand their rumors to their attach members,
+    then each member depth band forwards whole subtree loads to parents.
+    Within a stage all units contend; a unit's audience is the single node
+    that must confirm reception.
     """
-    members = set(bb.members)
-    parent: dict = dict(bb.parent)
-    own: dict = {u: [] for u in members}
-    for r in rumors:
-        if r.source in members:
-            own[r.source].append(r)
-        else:
-            hooks = [v for v in g.adjacency[r.source] if v in members]
-            if not hooks:
-                raise DistributedError(
-                    f"source {r.source!r} has no member in reach")
-            own.setdefault(r.source, [])
-            own[r.source].append(r)
-            parent[r.source] = min(hooks)
-
-    children: dict = {u: set() for u in own}
-    for u in own:
-        p = parent[u]
-        if p is not None and u != bb.root:
-            children.setdefault(p, set()).add(u)
-
-    def subtree(u) -> list[Rumor]:
-        out = list(own[u])
-        for v in children.get(u, ()):
-            out.extend(subtree(v))
-        return out
-
-    stages = []
-    outsiders = sorted(u for u in own if u not in members)
-    if outsiders:
-        stages.append([(u, _chunked(own[u], compression), {parent[u]})
-                       for u in outsiders])
-    depth = {m: bb.depth_of(m) for m in members}
-    for level in range(max(depth.values()), 0, -1):
-        band = []
-        for m in sorted(members):
-            if depth[m] != level:
-                continue
-            load = subtree(m)
-            if load:
-                band.append((m, _chunked(load, compression), {parent[m]}))
-        if band:
-            stages.append(band)
-    return stages
+    outsiders = sorted(u for u in plan.own if u not in plan.depth)
+    members = _levels(plan.depth, plan.depth)
+    bands = [outsiders] + members[:0:-1]  # deepest first; the root sends none
+    stages = [[(u, plan.batches(u), {plan.parent[u]})
+               for u in band if plan.load[u]] for band in bands]
+    return [stage for stage in stages if stage]
 
 
-def _distribution_stages(g: NetworkGraph, bb: Backbone,
-                         rumors: Sequence[Rumor], compression: int):
-    """Stages of (unit, batches, audience): one per (chunk, member depth).
+def _distribution_stages(g: NetworkGraph, plan: Plan):
+    """Stages of (unit, batches, audience): one per (chunk, sender depth).
 
-    The sender set is pruned bottom-up like the centralized scheduler; an
-    audience excludes senders at the same or smaller depth since those
+    An audience excludes senders at the same or smaller depth since those
     provably hold the chunk already (they relayed or are relaying it).
     """
-    members = set(bb.members)
-    root = bb.root
-    senders = set(members)
-    pruned = True
-    while pruned:
-        pruned = False
-        for m in sorted(senders, reverse=True):
-            if m == root:
-                continue
-            if any(bb.parent.get(x) == m for x in senders):
-                continue
-            rest = senders - {m}
-            covered = set(rest)
-            for w in rest:
-                covered.update(g.adjacency[w])
-            if covered == set(g.node_ids):
-                senders.remove(m)
-                pruned = True
-                break
-
-    depth = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(senders):
-                if bb.parent.get(v) == u and v not in depth:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-
-    chunks = _chunked(rumors, compression)
-    stages = []
-    for chunk in chunks:
-        for level in range(0, max(depth.values()) + 1):
-            band = []
-            for m in sorted(senders):
-                if depth[m] != level:
-                    continue
-                holders = {x for x in senders if depth[x] <= level}
-                audience = {v for v in g.adjacency[m] if v not in holders}
-                if audience:
-                    band.append((m, [chunk], audience))
-            if band:
-                stages.append(band)
-    return stages
+    bands = []
+    holders: set = set()
+    for level in _levels(plan.senders, plan.depth):
+        holders.update(level)
+        band = [(m, {v for v in g.adjacency[m] if v not in holders})
+                for m in level]
+        bands.append([(m, audience) for m, audience in band if audience])
+    return [[(m, [chunk], audience) for m, audience in band]
+            for chunk in plan.chunks for band in bands if band]
 
 
 def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
@@ -498,14 +418,13 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
         if s not in g.adjacency:
             raise ModelError(f"unknown source {s!r}")
 
-    rumors = [Rumor(s, i) for i, s in enumerate(sources)]
+    plan = plan_multibroadcast(g, bb, sources, compression)
     states = init_states(g, cfg)
-    for r in rumors:
+    for r in plan.rumors:
         states[r.source].held_rumors.add(r)
 
     run_round = run_round_cd if cfg.mode == "cd" else run_round_nocd
-    stages = (_collection_stages(g, bb, rumors, compression)
-              + _distribution_stages(g, bb, rumors, compression))
+    stages = _collection_stages(plan) + _distribution_stages(g, plan)
 
     rounds = 0
     data_messages = 0
@@ -545,7 +464,7 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
             break
 
     undelivered = frozenset(
-        (node, r) for node in g.node_ids for r in rumors
+        (node, r) for node in g.node_ids for r in plan.rumors
         if r not in states[node].held_rumors)
     return DistMetrics(rounds=rounds, data_messages=data_messages,
                        control_messages=control_messages,

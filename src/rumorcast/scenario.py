@@ -318,8 +318,3 @@ def experiment_csv_rows(report: ExperimentReport) -> list[tuple[str, ...]]:
 
 def write_experiment_csv(report: ExperimentReport, fh) -> None:
     csv.writer(fh).writerows(experiment_csv_rows(report))
-
-
-def experiment_to_csv(report: ExperimentReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_experiment_csv(report, fh)

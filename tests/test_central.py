@@ -19,6 +19,7 @@ from rumorcast.central import (
     load_schedule,
     make_collision_free,
     multibroadcast_schedule,
+    plan_multibroadcast,
     save_schedule,
     schedule_to_csv,
     simulate_schedule,
@@ -113,6 +114,24 @@ def test_relay_sends_exactly_ceil_of_subtree_over_c():
     for r in sched.rumors():
         assert metrics.nodes_holding(r) == set(g.node_ids)
     assert len(sched.rumors()) == k
+
+
+def test_plan_holds_tree_loads_depths_and_pruned_senders():
+    g, bb = path4()
+    plan = plan_multibroadcast(g, bb, ["a", "a", "d", "d", "d"], 2)
+    assert plan.parent == {"b": None, "c": "b", "a": "b", "d": "c"}
+    assert plan.own["d"] == (Rumor("d", 2), Rumor("d", 3), Rumor("d", 4))
+    assert plan.load["c"] == plan.own["d"]
+    assert plan.load["b"] == tuple(sorted(plan.rumors))
+    assert plan.depth == {"b": 0, "c": 1}
+    assert plan.senders == {"b", "c"}  # only c reaches d
+    assert [len(b) for b in plan.chunks] == [2, 2, 1]
+    assert [len(b) for b in plan.batches("c")] == [2, 1]
+
+    g, _ = star()
+    bb = Backbone(members=("hub", "l0"), root="hub",
+                  parent={"hub": None, "l0": "hub"})
+    assert plan_multibroadcast(g, bb, ["l1", "l2"], 1).senders == {"hub"}
 
 
 def test_batches_never_exceed_compression_factor():
