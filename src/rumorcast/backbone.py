@@ -8,6 +8,7 @@ induced diameter directly bound message and round counts.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -171,17 +172,20 @@ def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
             raise BackboneError(f"parent of {m!r} is not a member")
         if m not in g.adjacency[p]:
             raise BackboneError(f"parent link {p!r} -> {m!r} is not an edge")
-    # every member must reach the root through parent links
+    # every member must reach the root through parent links; members
+    # already known to reach it end later walks, so this is linear
+    reaches = {bb.root}
     for m in members:
-        seen = set()
+        walk: set = set()
         cur = m
-        while cur is not None:
-            if cur in seen:
+        while cur not in reaches:
+            if cur is None:
+                raise BackboneError(f"member {m!r} is detached from the root")
+            if cur in walk:
                 raise BackboneError("parent links contain a cycle")
-            seen.add(cur)
+            walk.add(cur)
             cur = bb.parent[cur]
-        if bb.root not in seen:
-            raise BackboneError(f"member {m!r} is detached from the root")
+        reaches.update(walk)
 
 
 def greedy_cds(g: NetworkGraph) -> Backbone:
@@ -193,6 +197,13 @@ def greedy_cds(g: NetworkGraph) -> Backbone:
     prefer the single pick, then smaller ids.  The chosen set stays connected
     throughout, and its size is within a (2 + ln(max_degree)) factor of the
     minimum for symmetric networks.
+
+    Picks are found by lazy evaluation (Minoux's accelerated greedy): the
+    candidates of each node sit in a heap from the moment it turns gray,
+    keyed ``(-gain, kind, pick)``.  Gains only fall as white nodes vanish,
+    so a stored key never exceeds the true one, and a popped key that
+    survives recomputation unchanged is the best pick a full rescan would
+    find.  The connectivity test behind it is cached on the graph.
     """
     _require_symmetric(g, "greedy_cds")
     if not is_strongly_connected(g):
@@ -203,40 +214,63 @@ def greedy_cds(g: NetworkGraph) -> Backbone:
         return Backbone(members=(only,), root=only, parent={only: None},
                         origin="greedy")
 
+    adj = g.adjacency
     white = set(ids)
     black: set = set()
     gray: set = set()
+    heap: list = []
 
-    def blacken(u):
+    def blacken(u) -> list:
+        """Blacken u and return the nodes it turned from white to gray."""
         white.discard(u)
         gray.discard(u)
         black.add(u)
-        for v in g.adjacency[u]:
-            if v in white:
-                white.remove(v)
-                gray.add(v)
+        fresh = [v for v in adj[u] if v in white]
+        white.difference_update(fresh)
+        gray.update(fresh)
+        return fresh
 
-    first = min(ids, key=lambda u: (-len({u} | set(g.adjacency[u])), u))
-    blacken(first)
+    def current_key(kind: int, pick: tuple):
+        """The pick's current heap key, or None once it can never win."""
+        v = pick[0]
+        if v not in gray:
+            return None
+        if kind == 0:
+            gain = sum(1 for w in adj[v] if w in white)
+            return (-gain, 0, pick) if gain else None
+        w = pick[1]
+        if w not in white:
+            return None
+        covered = {w}
+        covered.update(x for x in adj[v] if x in white)
+        covered.update(x for x in adj[w] if x in white)
+        return (-len(covered), 1, pick)
+
+    def push_candidates(v) -> None:
+        for kind, pick in [(0, (v,))] + [(1, (v, w)) for w in adj[v]]:
+            entry = current_key(kind, pick)
+            if entry is not None:
+                heapq.heappush(heap, entry)
+
+    first = min(ids, key=lambda u: (-len({u} | set(adj[u])), u))
+    for v in blacken(first):
+        push_candidates(v)
 
     while white:
-        candidates = []
-        for v in sorted(gray):
-            single = sum(1 for w in g.adjacency[v] if w in white)
-            if single:
-                candidates.append((-single, 0, (v,)))
-            for w in g.adjacency[v]:
-                if w not in white:
-                    continue
-                covered = {w}
-                covered.update(x for x in g.adjacency[v] if x in white)
-                covered.update(x for x in g.adjacency[w] if x in white)
-                candidates.append((-len(covered), 1, (v, w)))
-        if not candidates:
-            raise DisconnectedError("coverage stalled; network disconnected")
-        _, _, pick = min(candidates)
-        for u in pick:
-            blacken(u)
+        while True:
+            if not heap:
+                raise DisconnectedError(
+                    "coverage stalled; network disconnected")
+            top = heapq.heappop(heap)
+            now = current_key(top[1], top[2])
+            if now == top:
+                break
+            if now is not None:
+                heapq.heappush(heap, now)
+        fresh = [v for u in top[2] for v in blacken(u)]
+        for v in fresh:
+            if v in gray:
+                push_candidates(v)
 
     members = tuple(sorted(black))
     root = members[0]

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .backbone import BRUTE_FORCE_NODE_LIMIT, brute_force_mcds, greedy_cds
+from .backbone import (BRUTE_FORCE_NODE_LIMIT, Backbone, brute_force_mcds,
+                       greedy_cds)
 from .model import NetworkGraph, diameter
 
 
@@ -153,18 +154,22 @@ class BoundReport:
                 "formulas_used": list(self.formulas_used)}
 
 
-def bound_report(g: NetworkGraph, rumor_count: int,
-                 compression: int) -> BoundReport:
+def bound_report(g: NetworkGraph, rumor_count: int, compression: int,
+                 greedy: Backbone | None = None) -> BoundReport:
     """Compute the message and time floors for one instance.
 
     Uses the exact minimum connected dominating set when the network is
     small enough to enumerate, otherwise the greedy one, and flags which.
+    A caller that already built the greedy backbone passes it as
+    ``greedy``, which must be ``greedy_cds(g)`` of this same graph; without
+    it the backbone is built here.  The time floor is the diameter, which
+    is cached on the graph.
     """
     if len(g.node_ids) <= BRUTE_FORCE_NODE_LIMIT:
         mcds = brute_force_mcds(g)
         exact = True
     else:
-        mcds = greedy_cds(g)
+        mcds = greedy if greedy is not None else greedy_cds(g)
         exact = False
     return BoundReport(
         message_lb=message_lower_bound(rumor_count, compression, mcds.size),

@@ -9,7 +9,8 @@ Verbs:
 
 Exit codes: 0 on success, 1 when a run violates a floor invariant,
 2 on input errors (bad arguments, unreadable files, malformed scenarios,
-or a module error surfaced with scenario context).
+or a module error surfaced with scenario context), 3 on any other
+exception, reported as one ``internal error`` line on stderr.
 """
 
 from __future__ import annotations
@@ -192,6 +193,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

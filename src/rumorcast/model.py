@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 GEOM_EPS = 1e-9
@@ -94,6 +95,10 @@ class NetworkGraph:
     ``adjacency`` maps each node id to its out-neighbors sorted by id.
     ``symmetric`` reports whether every link is bidirectional, which holds
     automatically when all powers are equal (``uniform_power``).
+
+    A graph is immutable after construction: ``node_ids``, ``symmetric``,
+    ``max_degree``, strong connectivity and the diameter are computed at
+    most once per graph and cached on it.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -104,7 +109,7 @@ class NetworkGraph:
     _in_neighbors: Mapping[int | str, tuple[int | str, ...]] = field(
         repr=False, default_factory=dict)
 
-    @property
+    @cached_property
     def node_ids(self) -> tuple[int | str, ...]:
         return tuple(sorted(self.adjacency))
 
@@ -123,7 +128,7 @@ class NetworkGraph:
         """
         return all(n.power == 0 for n in self.nodes)
 
-    @property
+    @cached_property
     def symmetric(self) -> bool:
         for u, outs in self.adjacency.items():
             for v in outs:
@@ -152,9 +157,24 @@ class NetworkGraph:
         """Out-degree of a node."""
         return len(self.out_neighbors(node_id))
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max((len(v) for v in self.adjacency.values()), default=0)
+
+    @cached_property
+    def _strongly_connected(self) -> bool:
+        ids = self.node_ids
+        sweep = ids[:1] if self.symmetric else ids
+        return all(len(bfs_distances(self, u)) == len(ids) for u in sweep)
+
+    @cached_property
+    def _diameter(self) -> int:
+        if not self.node_ids:
+            raise ModelError("diameter of an empty graph")
+        if self.symmetric and is_strongly_connected(self):
+            return _ifub_diameter(self)
+        # directed, or disconnected: then the first BFS names the missing pair
+        return _all_pairs_diameter(self)
 
     @classmethod
     def from_adjacency(cls, adjacency: Mapping[int | str, Iterable[int | str]],
@@ -213,24 +233,49 @@ def build_network(nodes: Sequence[NodeSpec],
             raise ModelError(f"node {n.id!r} has non-positive power {n.power}")
 
     obstacles = tuple(obstacles)
+    reach = [u.radius(alpha) for u in nodes]
+    keys, cells = _grid(nodes, max(reach, default=0.0))
     adj: dict[int | str, tuple[int | str, ...]] = {}
-    for u in nodes:
-        reach = u.radius(alpha)
+    for (cx, cy), u, r in zip(keys, nodes, reach):
         outs = []
-        for v in nodes:
-            if v.id == u.id:
-                continue
-            dist = math.hypot(v.x - u.x, v.y - u.y)
-            if strict:
-                in_range = dist < reach - GEOM_EPS
-            else:
-                in_range = dist <= reach + GEOM_EPS
-            if in_range and not _link_blocked(u, v, obstacles):
-                outs.append(v.id)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for v in cells.get((cx + dx, cy + dy), ()):
+                    if v.id == u.id:
+                        continue
+                    dist = math.hypot(v.x - u.x, v.y - u.y)
+                    if strict:
+                        in_range = dist < r - GEOM_EPS
+                    else:
+                        in_range = dist <= r + GEOM_EPS
+                    if in_range and not _link_blocked(u, v, obstacles):
+                        outs.append(v.id)
         adj[u.id] = tuple(sorted(outs))
     return NetworkGraph(nodes=tuple(nodes), obstacles=obstacles, alpha=alpha,
                         adjacency=adj, strict=strict,
                         _in_neighbors=_invert(adj))
+
+
+def _grid(nodes: Sequence[NodeSpec], max_reach: float) -> tuple[list, dict]:
+    """Bucket nodes into square cells a little wider than the longest link.
+
+    The cell side is ``max_reach + GEOM_EPS`` plus a rounding allowance
+    relative to the coordinates, so the two ends of any link, even one at
+    the inclusive boundary, sit in the same or in adjacent cells.
+    Returns each node's cell and the nodes of each occupied cell;
+    non-finite coordinates put every node in one cell.
+    """
+    span = max((abs(c) for n in nodes for c in (n.x, n.y)), default=0.0)
+    side = max_reach + GEOM_EPS + 1e-12 * (max_reach + span)
+    try:
+        keys = [(math.floor(n.x / side), math.floor(n.y / side))
+                for n in nodes]
+    except (ValueError, OverflowError):
+        keys = [(0, 0)] * len(nodes)
+    cells: dict[tuple[int, int], list[NodeSpec]] = {}
+    for key, n in zip(keys, nodes):
+        cells.setdefault(key, []).append(n)
+    return keys, cells
 
 
 def hop_distance(g: NetworkGraph, src: int | str, dst: int | str) -> int | None:
@@ -273,11 +318,49 @@ def diameter(g: NetworkGraph) -> int:
     """Largest finite hop distance over all ordered node pairs.
 
     Raises DisconnectedError naming an unreachable pair if one exists.
-    A single-node graph has diameter 0.
+    A single-node graph has diameter 0.  The result is cached on the graph.
+
+    A connected symmetric graph uses iFUB (Crescenzi, Grossi, Habib, Lanzi,
+    Marino, TCS 2013): a 2-sweep from the max-degree node gives a lower
+    bound and a path whose midpoint roots one more BFS; the eccentricities
+    of that BFS's deepest levels are then taken, level by level, until the
+    lower bound reaches twice the next level's depth, an upper bound on
+    every pair left.  Typical unit-disk graphs need tens of BFS passes
+    instead of one per node.  Directed graphs run one BFS per node.
     """
+    return g._diameter
+
+
+def _eccentricity(dist: Mapping[int | str, int]) -> tuple[int | str, int]:
+    """The last node a BFS map reached and its hop distance."""
+    far = next(reversed(dist))
+    return far, dist[far]
+
+
+def _ifub_diameter(g: NetworkGraph) -> int:
+    adj = g.adjacency
+    start = max(g.node_ids, key=lambda u: len(adj[u]))
+    a, _ = _eccentricity(bfs_distances(g, start))
+    from_a = bfs_distances(g, a)
+    mid, lower = _eccentricity(from_a)
+    for _ in range(lower // 2):
+        mid = next(v for v in adj[mid] if from_a[v] == from_a[mid] - 1)
+    from_mid = bfs_distances(g, mid)
+    levels: list[list] = [[] for _ in range(_eccentricity(from_mid)[1] + 1)]
+    for v, d in from_mid.items():
+        levels[d].append(v)
+    lower = max(lower, len(levels) - 1)
+    for depth in range(len(levels) - 1, 0, -1):
+        # pairs not yet measured lie within ``depth`` hops of mid
+        for v in levels[depth]:
+            if lower >= 2 * depth:
+                return lower
+            lower = max(lower, _eccentricity(bfs_distances(g, v))[1])
+    return lower
+
+
+def _all_pairs_diameter(g: NetworkGraph) -> int:
     ids = g.node_ids
-    if not ids:
-        raise ModelError("diameter of an empty graph")
     best = 0
     for u in ids:
         dist = bfs_distances(g, u)
@@ -290,13 +373,12 @@ def diameter(g: NetworkGraph) -> int:
 
 
 def is_strongly_connected(g: NetworkGraph) -> bool:
-    ids = g.node_ids
-    if not ids:
-        return True
-    for u in ids:
-        if len(bfs_distances(g, u)) != len(ids):
-            return False
-    return True
+    """True when every node reaches every other one (an empty graph too).
+
+    A symmetric graph needs one BFS from its smallest id; a directed graph
+    runs one BFS per node.  The answer is cached on the graph.
+    """
+    return g._strongly_connected
 
 
 def conflict_set(g: NetworkGraph, within: Iterable[int | str],

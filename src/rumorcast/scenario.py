@@ -87,11 +87,17 @@ class Scenario:
         return len(self.sources)
 
 
-def build_backbone(g: NetworkGraph, kind: str) -> Backbone:
+def build_backbone(g: NetworkGraph, kind: str,
+                   greedy: Backbone | None = None) -> Backbone:
+    """The backbone of the given kind.
+
+    ``greedy``, when given, must be ``greedy_cds(g)``: it is the result for
+    "greedy" and the base of "bounded-diameter", so it is not built twice.
+    """
     if kind == "greedy":
-        return greedy_cds(g)
+        return greedy if greedy is not None else greedy_cds(g)
     if kind == "bounded-diameter":
-        return bounded_diameter_cds(g)
+        return bounded_diameter_cds(g, greedy)
     if kind == "oracle":
         return brute_force_mcds(g)
     raise ScenarioError(f"unknown backbone kind {kind!r}")
@@ -256,14 +262,20 @@ def _distributed_outcome(sc: Scenario, bb: Backbone, seed: int) -> tuple:
 
 def run_experiment(scenario: Scenario,
                    seeds: Sequence[int]) -> ExperimentReport:
-    """Run one scenario per seed and check the floor invariants."""
+    """Run one scenario per seed and check the floor invariants.
+
+    The greedy backbone is built once: it is the run's backbone, the base
+    of a bounded-diameter one, and the estimate behind the message floor.
+    """
     seeds = list(seeds)
     if not seeds:
         raise ScenarioError("no seeds given")
+    g, kind = scenario.network, scenario.backbone_kind
     try:
-        bb = build_backbone(scenario.network, scenario.backbone_kind)
-        report = bound_report(scenario.network, scenario.rumor_count,
-                              scenario.compression)
+        greedy = None if kind == "oracle" else greedy_cds(g)
+        bb = build_backbone(g, kind, greedy)
+        report = bound_report(g, scenario.rumor_count, scenario.compression,
+                              greedy=greedy)
     except ValueError as err:
         raise ScenarioError(
             f"scenario {scenario.name!r}: {err}") from err

@@ -1,0 +1,199 @@
+"""The compute-once graph core against the plain algorithms it replaced.
+
+``greedy_cds`` evaluates its candidate gains lazily from a heap, and
+``pick_sources`` streams one BFS map at a time; the full-rescan greedy loop
+and the all-pairs source pick below are the reference versions, and both
+must give the same results.  ``diameter`` on a symmetric graph prunes its
+BFS passes and is checked against one BFS from every node.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rumorcast.backbone import (Backbone, BackboneError, build_arborescence,
+                                greedy_cds, validate_backbone)
+from rumorcast.fixtures import pick_sources
+from rumorcast.model import (NetworkGraph, NodeSpec, bfs_distances,
+                             build_network, diameter, is_strongly_connected)
+
+
+def reference_greedy_cds(g: NetworkGraph) -> Backbone:
+    """Greedy CDS that rescans every candidate before each pick."""
+    ids = list(g.node_ids)
+    if len(ids) == 1:
+        return Backbone(members=(ids[0],), root=ids[0],
+                        parent={ids[0]: None}, origin="greedy")
+    white, black, gray = set(ids), set(), set()
+
+    def blacken(u):
+        white.discard(u)
+        gray.discard(u)
+        black.add(u)
+        for v in g.adjacency[u]:
+            if v in white:
+                white.remove(v)
+                gray.add(v)
+
+    blacken(min(ids, key=lambda u: (-len({u} | set(g.adjacency[u])), u)))
+    while white:
+        candidates = []
+        for v in sorted(gray):
+            single = sum(1 for w in g.adjacency[v] if w in white)
+            if single:
+                candidates.append((-single, 0, (v,)))
+            for w in g.adjacency[v]:
+                if w not in white:
+                    continue
+                covered = {w}
+                covered.update(x for x in g.adjacency[v] if x in white)
+                covered.update(x for x in g.adjacency[w] if x in white)
+                candidates.append((-len(covered), 1, (v, w)))
+        for u in min(candidates)[2]:
+            blacken(u)
+    members = tuple(sorted(black))
+    return Backbone(members=members, root=members[0],
+                    parent=build_arborescence(g, members, members[0]),
+                    origin="greedy")
+
+
+def reference_pick_sources(g: NetworkGraph, count: int) -> list:
+    """Source pick over the full all-pairs distance table."""
+    ids = list(g.node_ids)
+    dist = {u: bfs_distances(g, u) for u in ids}
+    best = None
+    for u in ids:
+        for v, d in dist[u].items():
+            if best is None or d > best[0]:
+                best = (d, u, v)
+    chosen = [best[1]]
+    while len(chosen) < count:
+        candidates = sorted(
+            (u for u in ids if u not in chosen),
+            key=lambda u: (-min(dist[c].get(u, 0) for c in chosen), str(u)))
+        chosen.append(candidates[0])
+    return chosen
+
+
+def all_pairs_diameter(g: NetworkGraph) -> int:
+    return max(max(bfs_distances(g, u).values()) for u in g.node_ids)
+
+
+def jittered_udg(side: int, seed: int) -> NetworkGraph:
+    """One uniform point per cell of a side x side grid, ~12 neighbours."""
+    rng = random.Random(seed)
+    n = side * side
+    radius = math.sqrt(12 / (math.pi * n))
+    nodes = [NodeSpec(i * side + j, (i + rng.random()) / side,
+                      (j + rng.random()) / side, radius ** 2)
+             for i in range(side) for j in range(side)]
+    return build_network(nodes)
+
+
+@st.composite
+def connected_udgs(draw):
+    n = draw(st.integers(min_value=1, max_value=90))
+    radius = draw(st.floats(min_value=0.15, max_value=0.6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nodes = [NodeSpec(i, rng.random(), rng.random(), radius ** 2)
+             for i in range(n)]
+    g = build_network(nodes)
+    if not is_strongly_connected(g):
+        # keep the sample: chain each component to the next
+        adj = {u: set(g.adjacency[u]) for u in g.node_ids}
+        seen: set = set()
+        prev = None
+        for u in g.node_ids:
+            if u in seen:
+                continue
+            seen.update(bfs_distances(g, u))
+            if prev is not None:
+                adj[prev].add(u)
+                adj[u].add(prev)
+            prev = u
+        g = NetworkGraph.from_adjacency(adj)
+    return g
+
+
+@given(connected_udgs())
+@settings(max_examples=120, deadline=None)
+def test_lazy_greedy_matches_full_rescan(g):
+    got, want = greedy_cds(g), reference_greedy_cds(g)
+    assert got.members == want.members
+    assert got.root == want.root
+    assert dict(got.parent) == dict(want.parent)
+
+
+def test_lazy_greedy_and_diameter_on_a_729_node_udg():
+    g = jittered_udg(27, seed=5)
+    assert is_strongly_connected(g)
+    got, want = greedy_cds(g), reference_greedy_cds(g)
+    assert (got.members, got.root) == (want.members, want.root)
+    assert dict(got.parent) == dict(want.parent)
+    validate_backbone(g, got)
+    assert diameter(g) == all_pairs_diameter(g)
+
+
+@st.composite
+def any_graphs(draw, max_nodes=12):
+    """Symmetric or directed, connected or not, int or str ids."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=3 * n))
+    symmetric = draw(st.booleans())
+    name = str if draw(st.booleans()) else int
+    adj = {name(u): set() for u in range(n)}
+    for u, v in edges:
+        if u != v:
+            adj[name(u)].add(name(v))
+            if symmetric:
+                adj[name(v)].add(name(u))
+    return NetworkGraph.from_adjacency(adj)
+
+
+@given(any_graphs(), st.integers(min_value=1, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_pick_sources_matches_all_pairs_pick(g, count):
+    count = min(count, len(g.node_ids))
+    assert pick_sources(g, count) == reference_pick_sources(g, count)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pick_sources_matches_all_pairs_pick_on_udgs(seed):
+    g = jittered_udg(12, seed)
+    assert pick_sources(g, 8) == reference_pick_sources(g, 8)
+
+
+def test_graph_facts_are_computed_once(monkeypatch):
+    g = jittered_udg(10, seed=3)
+    want = all_pairs_diameter(g)
+    assert diameter(g) == want and is_strongly_connected(g)
+
+    def no_more_bfs(*args):
+        raise AssertionError("a cached graph fact ran another BFS")
+
+    monkeypatch.setattr("rumorcast.model.bfs_distances", no_more_bfs)
+    assert diameter(g) == want and is_strongly_connected(g)
+
+
+def test_validate_backbone_catches_a_parent_cycle():
+    g = NetworkGraph.from_adjacency(
+        {0: [1], 1: [0, 2], 2: [1, 3], 3: [2, 4], 4: [3]})
+    bb = Backbone(members=(0, 1, 2, 3, 4), root=0,
+                  parent={0: None, 1: 2, 2: 1, 3: 2, 4: 3})
+    with pytest.raises(BackboneError, match="parent links contain a cycle"):
+        validate_backbone(g, bb)
+
+
+def test_validate_backbone_accepts_a_deep_chain():
+    n = 3000
+    g = NetworkGraph.from_adjacency(
+        {i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)})
+    parent = {i: (i + 1 if i + 1 < n else None) for i in range(n)}
+    validate_backbone(g, Backbone(members=tuple(range(n)), root=n - 1,
+                                  parent=parent))

@@ -215,3 +215,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     data["cfg"]["max_rounds"] = 1
     (tmp_path / "starved.json").write_text(json.dumps(data))
     assert main(["run", "--scenario", spath]) == 1
+
+
+def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    spath = str(tmp_path / "sp.json")
+    assert main(["gen", "star-path", "--k", "3", "--d", "1", "--c", "3",
+                 "--out", spath]) == 0
+
+    def broken(sc, seeds):
+        raise RuntimeError("planner fell over")
+
+    monkeypatch.setattr("rumorcast.cli.run_experiment", broken)
+    capsys.readouterr()
+    assert main(["run", "--scenario", spath]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: planner fell over\n"
