@@ -5,7 +5,8 @@ transmissions (sender plus a batch of rumors).  A batch counts as one
 message regardless of how many rumors it carries, up to the compression
 factor.  The model is an abstract broadcast medium: every out-neighbor of a
 sender hears the batch, a node may send and receive in the same round, and
-two senders sharing an out-neighbor interfere at that common receiver.
+two senders sharing an out-neighbor interfere at that common receiver:
+``model.hearing`` lists, per receiver, the senders of a round that reach it.
 
 Multi-broadcast is planned once by ``plan_multibroadcast``: the collection
 tree, subtree loads, member depths, pruned distribution senders and fixed
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
-from .model import ModelError, NetworkGraph
+from .model import ModelError, NetworkGraph, hearing
 
 PLANNER_ROUND_CAP = 100_000
 
@@ -352,11 +353,11 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
 
     Causality is checked against interference-free holdings: every sender
     must already hold each rumor it sends, where holdings grow as if all
-    receptions succeed.  With ``interference=True`` each reception that is
-    jammed by a second in-neighbor transmitting in the same round counts as
-    one collision (losses are counted, not propagated).  Delivery times
-    record when each node actually first held each rumor; a rumor's source
-    holds it at round 0.
+    receptions succeed.  With ``interference=True`` a reception is jammed
+    when the receiver hears more than one sender of the round; each jammed
+    reception counts as one collision (losses are counted, not propagated).
+    Delivery times record when each node actually first held each rumor; a
+    rumor's source holds it at round 0.
     """
     plan_hold: dict = {u: set() for u in g.node_ids}
     actual_hold: dict = {u: set() for u in g.node_ids}
@@ -387,12 +388,10 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
                     f"round {t}: sender {tx.sender!r} does not hold "
                     f"{missing[0]}")
         # receptions
+        heard = hearing(g, [tx.sender for tx in rnd])
         for tx in rnd:
             for v in g.adjacency[tx.sender]:
-                jammed = interference and any(
-                    other is not tx and v in g.adjacency[other.sender]
-                    for other in rnd)
-                if jammed:
+                if interference and len(heard[v]) > 1:
                     collisions += 1
                 else:
                     for r in tx.batch.rumors:

@@ -17,6 +17,10 @@ tree.  The rounds inside each stage are randomized.
 Every node owns an independent deterministic random stream derived from
 (seed, node id), so runs replay bit-for-bit.  A node transmits in at most
 one slot per round: data senders never echo, and ackers never send data.
+
+Who hears whom in a slot comes from ``model.hearing`` over the talkers'
+out-neighbor lists, minus the talkers themselves: a transmitting node is
+deaf for that slot.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
 from .central import Plan, plan_multibroadcast
-from .model import ModelError, NetworkGraph
+from .model import ModelError, NetworkGraph, hearing
 
 
 class DistributedError(ValueError):
@@ -182,23 +186,19 @@ def _emit(trace: IO | None, record: SlotRecord) -> None:
 
 def _audible(g: NetworkGraph, talking: list) -> dict:
     """Listener -> the talkers it hears in one slot; talkers are deaf."""
-    audible: dict = {}
-    for v in g.node_ids:
-        if v in talking:
-            continue
-        heard = [u for u in talking if u in g.in_neighbors(v)]
-        if heard:
-            audible[v] = heard
+    audible = hearing(g, talking)
+    for u in talking:
+        audible.pop(u, None)
     return audible
 
 
-def _log_slot(records: list, trace: IO | None, round_index: int, slot: int,
-              kind: str, talking: list, audible: Mapping) -> None:
+def _log_slot(g: NetworkGraph, records: list, trace: IO | None,
+              round_index: int, slot: int, kind: str, talking: list,
+              audible: Mapping) -> None:
     for u in talking:
-        ok = tuple(sorted(v for v, heard in audible.items()
-                          if heard == [u]))
-        bad = tuple(sorted(v for v, heard in audible.items()
-                           if u in heard and len(heard) > 1))
+        reached = [v for v in g.adjacency[u] if v in audible]
+        ok = tuple(sorted(v for v in reached if len(audible[v]) == 1))
+        bad = tuple(sorted(v for v in reached if len(audible[v]) > 1))
         rec = SlotRecord(round_index, slot, u, kind, ok, bad)
         records.append(rec)
         _emit(trace, rec)
@@ -226,8 +226,29 @@ def _data_half(g: NetworkGraph, states: Mapping, senders: list,
             else:
                 collisions_heard += 1
                 first_collision.setdefault(v, s)
-        _log_slot(records, trace, round_index, s, "data", talking, audible)
+        _log_slot(g, records, trace, round_index, s, "data", talking, audible)
     return got_data, first_collision, collisions_heard
+
+
+def _open_round(g: NetworkGraph, states: Mapping, transmitters: Iterable,
+                cfg: SimConfig, mode: str) -> tuple[list, int, dict]:
+    """Check a round's transmitters and draw each one's data slot.
+
+    Every transmitter must be a known node with a batch to send.  Returns
+    the sorted senders, the slots per half-round and each sender's
+    first-half slot, drawn in sender order.
+    """
+    if cfg.mode != mode:
+        raise DistributedError(f"run_round_{mode} needs cfg.mode == '{mode}'")
+    senders = sorted(set(transmitters))
+    for u in senders:
+        if u not in g.adjacency:
+            raise ModelError(f"unknown transmitter {u!r}")
+        if not states[u].pending:
+            raise DistributedError(f"transmitter {u!r} has no batch to send")
+    half = slot_count(g, cfg)
+    return senders, half, {u: states[u].rng_stream.randint(1, half)
+                           for u in senders}
 
 
 def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
@@ -244,34 +265,27 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     sender declares success, every neighbor that was listening during its
     slot has received the batch.
     """
-    if cfg.mode != "cd":
-        raise DistributedError("run_round_cd needs cfg.mode == 'cd'")
-    senders = sorted(set(transmitters))
-    for u in senders:
-        if u not in g.adjacency:
-            raise ModelError(f"unknown transmitter {u!r}")
-        if not states[u].pending:
-            raise DistributedError(f"transmitter {u!r} has no batch to send")
-    half = slot_count(g, cfg)
-    slot_of = {u: states[u].rng_stream.randint(1, half) for u in senders}
-
+    senders, half, slot_of = _open_round(g, states, transmitters, cfg, "cd")
     records: list[SlotRecord] = []
     _, first_collision, collisions_heard = _data_half(
         g, states, senders, slot_of, records, round_index, trace)
 
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
+    noisy: set = set()
     for s in sorted(set(echoers.values())):
         yelling = sorted(v for v, es in echoers.items() if es == s)
         audible = _audible(g, yelling)
         collisions_heard += sum(1 for heard in audible.values()
                                 if len(heard) > 1)
-        _log_slot(records, trace, round_index, s, "error", yelling, audible)
+        noisy.update(audible)
+        _log_slot(g, records, trace, round_index, s, "error", yelling,
+                  audible)
 
+    # a sender that heard no error slot at all declares success
     succeeded = set()
     for u in senders:
-        noisy = any(v in g.in_neighbors(u) for v in echoers)
-        if not noisy:
+        if u not in noisy:
             succeeded.add(u)
             states[u].pending.popleft()
     return RoundLog(records=tuple(records), succeeded=frozenset(succeeded),
@@ -293,23 +307,15 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     provably holds the whole batch; such listeners leave the list.  A
     transmitter whose list empties pops its batch.
     """
-    if cfg.mode != "nocd":
-        raise DistributedError("run_round_nocd needs cfg.mode == 'nocd'")
-    senders = sorted(set(transmitters))
+    senders, half, slot_of = _open_round(g, states, transmitters, cfg,
+                                         "nocd")
     for u in senders:
-        if u not in g.adjacency:
-            raise ModelError(f"unknown transmitter {u!r}")
-        if not states[u].pending:
-            raise DistributedError(f"transmitter {u!r} has no batch to send")
         if not states[u].awaiting_ack:
             raise DistributedError(f"transmitter {u!r} has nobody to address")
         extra = states[u].awaiting_ack - set(g.adjacency[u])
         if extra:
             raise DistributedError(
                 f"transmitter {u!r} addresses non-neighbors {sorted(extra, key=str)}")
-    half = slot_count(g, cfg)
-    slot_of = {u: states[u].rng_stream.randint(1, half) for u in senders}
-
     records: list[SlotRecord] = []
     got_data, _, collisions_heard = _data_half(
         g, states, senders, slot_of, records, round_index, trace)
@@ -327,7 +333,7 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
         for u in listed_by[v]:
             rivals = [z for z in ackers
                       if z != v and ack_slot[z] == ack_slot[v]
-                      and (z in g.adjacency[v] or z in g.in_neighbors(u))]
+                      and (z in g.adjacency[v] or u in g.adjacency[z])]
             if rivals:
                 bad.append(u)
                 collisions_heard += 1

@@ -5,13 +5,18 @@ u's transmission radius power**(1/alpha) and the open segment between them
 does not properly cross any obstacle segment.  Reach is directed: unequal
 powers give asymmetric links.  When every node has the same power the graph
 is symmetric (a unit-disk graph scaled to that radius).
+
+A graph is fully described by its out-neighbor lists.  Reception is decided
+in one place, ``hearing``: in a slot or round, a listener hears every
+talker that reaches it, and it receives cleanly only when it hears exactly
+one.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -106,8 +111,6 @@ class NetworkGraph:
     alpha: float
     adjacency: Mapping[int | str, tuple[int | str, ...]]
     strict: bool = False
-    _in_neighbors: Mapping[int | str, tuple[int | str, ...]] = field(
-        repr=False, default_factory=dict)
 
     @cached_property
     def node_ids(self) -> tuple[int | str, ...]:
@@ -147,11 +150,6 @@ class NetworkGraph:
             return self.adjacency[node_id]
         except KeyError:
             raise ModelError(f"unknown node id {node_id!r}") from None
-
-    def in_neighbors(self, node_id: int | str) -> tuple[int | str, ...]:
-        if node_id not in self.adjacency:
-            raise ModelError(f"unknown node id {node_id!r}")
-        return self._in_neighbors.get(node_id, ())
 
     def degree(self, node_id: int | str) -> int:
         """Out-degree of a node."""
@@ -195,16 +193,7 @@ class NetworkGraph:
                     raise ModelError(f"self-loop on {u!r}")
             adj[u] = outs
         nodes = tuple(NodeSpec(i, 0.0, 0.0, 0.0) for i in sorted(adj))
-        return cls(nodes=nodes, obstacles=(), alpha=alpha,
-                   adjacency=adj, _in_neighbors=_invert(adj))
-
-
-def _invert(adj: Mapping[int | str, tuple[int | str, ...]]) -> dict:
-    inn: dict[int | str, list] = {u: [] for u in adj}
-    for u, outs in adj.items():
-        for v in outs:
-            inn[v].append(u)
-    return {u: tuple(sorted(vs)) for u, vs in inn.items()}
+        return cls(nodes=nodes, obstacles=(), alpha=alpha, adjacency=adj)
 
 
 def build_network(nodes: Sequence[NodeSpec],
@@ -252,8 +241,7 @@ def build_network(nodes: Sequence[NodeSpec],
                         outs.append(v.id)
         adj[u.id] = tuple(sorted(outs))
     return NetworkGraph(nodes=tuple(nodes), obstacles=obstacles, alpha=alpha,
-                        adjacency=adj, strict=strict,
-                        _in_neighbors=_invert(adj))
+                        adjacency=adj, strict=strict)
 
 
 def _grid(nodes: Sequence[NodeSpec], max_reach: float) -> tuple[list, dict]:
@@ -282,21 +270,7 @@ def hop_distance(g: NetworkGraph, src: int | str, dst: int | str) -> int | None:
     """Directed hop count from src to dst by BFS, or None if unreachable."""
     if src not in g.adjacency or dst not in g.adjacency:
         raise ModelError("hop_distance got an unknown node id")
-    if src == dst:
-        return 0
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v == dst:
-                        return dist[v]
-                    nxt.append(v)
-        frontier = nxt
-    return None
+    return bfs_distances(g, src).get(dst)
 
 
 def bfs_distances(g: NetworkGraph, src: int | str) -> dict[int | str, int]:
@@ -381,6 +355,21 @@ def is_strongly_connected(g: NetworkGraph) -> bool:
     return g._strongly_connected
 
 
+def hearing(g: NetworkGraph, talkers: Iterable[int | str]) -> dict:
+    """Listener -> the talkers that reach it, in talker order.
+
+    The one reception rule: a listener receives cleanly only when it hears
+    exactly one talker.  Built from the talkers' out-neighbor lists in
+    O(sum of their out-degrees).  Talkers appear as listeners too; callers
+    whose talkers are deaf drop them.
+    """
+    heard: dict = {}
+    for u in talkers:
+        for v in g.adjacency[u]:
+            heard.setdefault(v, []).append(u)
+    return heard
+
+
 def conflict_set(g: NetworkGraph, within: Iterable[int | str],
                  node_id: int | str) -> frozenset:
     """Nodes of ``within`` whose transmissions can collide with node_id's.
@@ -397,13 +386,10 @@ def conflict_set(g: NetworkGraph, within: Iterable[int | str],
     for w in group:
         if w not in g.adjacency:
             raise ModelError(f"unknown node id {w!r}")
-    rivals: set[int | str] = set()
-    for v in g.adjacency[node_id]:
-        if v not in group:
-            continue
-        for w in g.in_neighbors(v):
-            if w != node_id and w in group:
-                rivals.add(w)
+    heard = hearing(g, group)
+    rivals = {w for v in g.adjacency[node_id] if v in group
+              for w in heard[v]}
+    rivals.discard(node_id)
     return frozenset(rivals)
 
 

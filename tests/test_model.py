@@ -264,7 +264,7 @@ def test_conflict_set_size_bound(g, data):
     rivals = conflict_set(g, group, u)
     # degree of the induced subgraph: larger of in- and out-degree
     max_deg = max(max(len([v for v in g.adjacency[w] if v in group]),
-                      len([v for v in g.in_neighbors(w) if v in group]))
+                      len([v for v in group if w in g.adjacency[v]]))
                   for w in group)
     assert len(rivals) <= max_deg * max(0, max_deg - 1)
     assert u not in rivals
