@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -37,6 +38,9 @@ class Backbone:
     root); parent edges are edges of the network.  ``origin`` records which
     construction produced it: "greedy", "bounded-diameter", "oracle", or
     "explicit".
+
+    A backbone is immutable: its tree (``children`` and ``depth``) comes
+    from one walk from the root, done at most once and cached on it.
     """
 
     members: tuple
@@ -48,22 +52,46 @@ class Backbone:
     def size(self) -> int:
         return len(self.members)
 
-    def depth_of(self, member: int | str) -> int:
-        """Hop depth of a member below the root along parent links."""
-        depth = 0
-        cur = self.parent[member]
-        while cur is not None:
-            depth += 1
-            cur = self.parent[cur]
+    @cached_property
+    def children(self) -> Mapping[int | str, tuple]:
+        """Each member's children along parent links, sorted by id."""
+        kids: dict = {m: [] for m in self.members}
+        for m in sorted(self.members):
+            if self.parent[m] is not None:
+                kids.setdefault(self.parent[m], []).append(m)
+        return {u: tuple(vs) for u, vs in kids.items()}
+
+    @cached_property
+    def depth(self) -> Mapping[int | str, int]:
+        """Hop depth of every member the root reaches through children.
+
+        Keys run in root-first (breadth-first) order, so depths never
+        decrease along them.  Each member is visited at most once, so the
+        walk ends on any parent map; members whose parent links never reach
+        the root (a parent cycle) are left out.
+        """
+        depth = {self.root: 0}
+        order = [self.root]
+        for u in order:  # grows while iterated: a breadth-first walk
+            for v in self.children.get(u, ()):
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    order.append(v)
         return depth
 
-    @property
+    def depth_of(self, member: int | str) -> int:
+        """Hop depth of a member below the root along parent links.
+
+        Raises KeyError for a member the root does not reach.
+        """
+        return self.depth[member]
+
+    @cached_property
     def max_depth(self) -> int:
-        return max(self.depth_of(m) for m in self.members)
+        return max(self.depth.values())
 
     def children_of(self, member: int | str) -> tuple:
-        return tuple(sorted(m for m in self.members
-                            if self.parent[m] == member))
+        return self.children.get(member, ())
 
 
 @dataclass(frozen=True)
@@ -172,20 +200,10 @@ def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
             raise BackboneError(f"parent of {m!r} is not a member")
         if m not in g.adjacency[p]:
             raise BackboneError(f"parent link {p!r} -> {m!r} is not an edge")
-    # every member must reach the root through parent links; members
-    # already known to reach it end later walks, so this is linear
-    reaches = {bb.root}
-    for m in members:
-        walk: set = set()
-        cur = m
-        while cur not in reaches:
-            if cur is None:
-                raise BackboneError(f"member {m!r} is detached from the root")
-            if cur in walk:
-                raise BackboneError("parent links contain a cycle")
-            walk.add(cur)
-            cur = bb.parent[cur]
-        reaches.update(walk)
+    # every parent is a member, so a member the root's walk misses sits on
+    # a parent cycle
+    if len(bb.depth) != len(members):
+        raise BackboneError("parent links contain a cycle")
 
 
 def greedy_cds(g: NetworkGraph) -> Backbone:

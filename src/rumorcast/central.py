@@ -163,9 +163,11 @@ class Plan:
     hangs off its smallest member neighbor.  ``parent`` links each unit to
     the unit it hands rumors to (None for the root); ``own`` and ``load``
     hold each unit's own rumors and its whole subtree's rumors, sorted.
-    ``depth`` is each member's hop depth below the root.  ``senders`` are
-    the members left to distribute after pruning; pruning removes only
-    leaves, so a sender's depth in the pruned tree is its backbone depth.
+    ``depth`` is the backbone's cached ``Backbone.depth``: each member's hop
+    depth below the root, keyed in root-first order, so its keys grouped by
+    value are the depth bands.  ``senders`` are the members left to
+    distribute after pruning; pruning removes only leaves, so a sender's
+    depth in the pruned tree is its backbone depth.
     ``chunks`` are the fixed batches of at most ``compression`` rumors
     that the root pushes back down.
     """
@@ -196,11 +198,11 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
                         compression: int) -> Plan:
     """Build the collection and distribution trees for one rumor per source.
 
-    Source i carries ``Rumor(sources[i], i)``.  Subtree loads come from one
-    root-first pass read backwards, so the backbone depth is not limited
-    by recursion.  Distribution pruning repeatedly drops the largest-id
-    leaf of the sender tree whose removal leaves every node covered by a
-    sender or a sender's neighbor.  The caller validates the backbone, the
+    Source i carries ``Rumor(sources[i], i)``.  Subtree loads come from the
+    backbone's root-first ``depth`` order read backwards, so the backbone
+    depth is not limited by recursion.  Distribution pruning repeatedly
+    drops the largest-id leaf of the sender tree whose removal leaves every
+    node covered by a sender or a sender's neighbor.  The caller validates the backbone, the
     sources and the compression factor.
     """
     members = set(bb.members)
@@ -213,18 +215,8 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
             parent[r.source] = _attach_member(g, bb, r.source)
         own[r.source].append(r)
 
-    kids: dict = {m: [] for m in members}
-    for m in bb.members:
-        if m != bb.root:
-            kids[bb.parent[m]].append(m)
-    depth = {bb.root: 0}
-    order = [bb.root]
-    for u in order:  # grows while iterated: a breadth-first walk
-        for v in kids[u]:
-            depth[v] = depth[u] + 1
-            order.append(v)
     load = {u: list(rs) for u, rs in own.items()}
-    for u in reversed(order + [u for u in own if u not in members]):
+    for u in reversed([*bb.depth, *(u for u in own if u not in members)]):
         if u != bb.root:
             load[parent[u]].extend(load[u])
 
@@ -233,7 +225,7 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
     for m in members:
         for v in (m, *g.adjacency[m]):
             cover[v] += 1
-    live_kids = {m: len(kids[m]) for m in members}
+    live_kids = {m: len(bb.children_of(m)) for m in members}
     senders = set(members)
 
     def prunable(m) -> bool:
@@ -251,7 +243,7 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
                 parent=parent,
                 own={u: tuple(sorted(rs)) for u, rs in own.items()},
                 load={u: tuple(sorted(rs)) for u, rs in load.items()},
-                depth=depth, senders=frozenset(senders),
+                depth=bb.depth, senders=frozenset(senders),
                 chunks=_chunked(rumors, compression))
 
 
@@ -360,7 +352,7 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
     rumor's source holds it at round 0.
     """
     plan_hold: dict = {u: set() for u in g.node_ids}
-    actual_hold: dict = {u: set() for u in g.node_ids}
+    # delivery[r]: the nodes that actually hold r, with their first round
     delivery: dict[Rumor, dict] = {}
     for rnd in sched.rounds:
         for tx in rnd:
@@ -368,7 +360,6 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
                 if r.source not in g.adjacency:
                     raise ScheduleError(f"rumor source {r.source!r} unknown")
                 plan_hold[r.source].add(r)
-                actual_hold[r.source].add(r)
                 delivery.setdefault(r, {})[r.source] = 0
 
     collisions = 0
@@ -395,9 +386,7 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
                     collisions += 1
                 else:
                     for r in tx.batch.rumors:
-                        if r not in actual_hold[v]:
-                            actual_hold[v].add(r)
-                            delivery.setdefault(r, {})[v] = t
+                        delivery[r].setdefault(v, t)
                 for r in tx.batch.rumors:
                     plan_hold[v].add(r)
     frozen = {r: dict(times) for r, times in delivery.items()}

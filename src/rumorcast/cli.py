@@ -28,8 +28,8 @@ from .distributed import SimConfig
 from .fixtures import (gen_random_udg, gen_ring_fixture, gen_star_path,
                        pick_sources)
 from .scenario import (BACKBONE_KINDS, MODES, Scenario, ScenarioError,
-                       load_scenario, run_experiment, scenario_to_dict,
-                       write_experiment_csv)
+                       experiment_csv_rows, load_scenario, run_experiment,
+                       scenario_to_dict)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -87,9 +87,7 @@ def _cmd_run(args) -> int:
         seeds = [args.seed if args.seed is not None else 0]
     report = run_experiment(sc, seeds)
     if args.format == "csv":
-        buf = io.StringIO()
-        write_experiment_csv(report, buf)
-        text = buf.getvalue()
+        text = _csv_text(experiment_csv_rows(report))
     else:
         text = _json_text(report.to_dict())
     _emit(text, args.out)

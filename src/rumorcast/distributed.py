@@ -31,6 +31,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import IO, Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
@@ -204,8 +205,16 @@ def _log_slot(g: NetworkGraph, records: list, trace: IO | None,
         _emit(trace, rec)
 
 
-def _data_half(g: NetworkGraph, states: Mapping, senders: list,
-               slot_of: Mapping, records: list, round_index: int,
+def _by_slot(slot_of: Mapping) -> dict[int, list]:
+    """Each used slot -> its talkers sorted, keyed in slot order."""
+    talkers: dict = {}
+    for u in sorted(slot_of):
+        talkers.setdefault(slot_of[u], []).append(u)
+    return dict(sorted(talkers.items()))
+
+
+def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
+               records: list, round_index: int,
                trace: IO | None) -> tuple[set, dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
@@ -216,8 +225,7 @@ def _data_half(g: NetworkGraph, states: Mapping, senders: list,
     got_data: set = set()
     first_collision: dict = {}
     collisions_heard = 0
-    for s in sorted(set(slot_of.values())):
-        talking = [u for u in senders if slot_of[u] == s]
+    for s, talking in _by_slot(slot_of).items():
         audible = _audible(g, talking)
         for v, heard in audible.items():
             if len(heard) == 1:
@@ -268,13 +276,12 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     senders, half, slot_of = _open_round(g, states, transmitters, cfg, "cd")
     records: list[SlotRecord] = []
     _, first_collision, collisions_heard = _data_half(
-        g, states, senders, slot_of, records, round_index, trace)
+        g, states, slot_of, records, round_index, trace)
 
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
     noisy: set = set()
-    for s in sorted(set(echoers.values())):
-        yelling = sorted(v for v, es in echoers.items() if es == s)
+    for s, yelling in _by_slot(echoers).items():
         audible = _audible(g, yelling)
         collisions_heard += sum(1 for heard in audible.values()
                                 if len(heard) > 1)
@@ -318,7 +325,7 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
                 f"transmitter {u!r} addresses non-neighbors {sorted(extra, key=str)}")
     records: list[SlotRecord] = []
     got_data, _, collisions_heard = _data_half(
-        g, states, senders, slot_of, records, round_index, trace)
+        g, states, slot_of, records, round_index, trace)
 
     # every listener that received data this round acks once; ackers are
     # never simultaneously data senders, so one slot each suffices
@@ -327,12 +334,13 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
                 for v in ackers}
     listed_by = {v: [u for u in senders if v in states[u].awaiting_ack]
                  for v in ackers}
+    sharing = _by_slot(ack_slot)
     for v in ackers:
         ok = []
         bad = []
         for u in listed_by[v]:
-            rivals = [z for z in ackers
-                      if z != v and ack_slot[z] == ack_slot[v]
+            rivals = [z for z in sharing[ack_slot[v]]
+                      if z != v
                       and (z in g.adjacency[v] or u in g.adjacency[z])]
             if rivals:
                 bad.append(u)
@@ -356,25 +364,17 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
                     collisions_heard=collisions_heard)
 
 
-def _levels(nodes: Iterable, depth: Mapping) -> list[list]:
-    """Nodes grouped by depth, root level first, each level sorted."""
-    nodes = sorted(nodes)
-    levels: list[list] = [[] for _ in range(max(depth[u] for u in nodes) + 1)]
-    for u in nodes:
-        levels[depth[u]].append(u)
-    return levels
-
-
 def _collection_stages(plan: Plan):
     """Stages of (unit, batches, audience) triples, deepest first.
 
     Non-member sources first hand their rumors to their attach members,
     then each member depth band forwards whole subtree loads to parents.
+    The bands are ``plan.depth``'s root-first keys grouped by depth.
     Within a stage all units contend; a unit's audience is the single node
     that must confirm reception.
     """
     outsiders = sorted(u for u in plan.own if u not in plan.depth)
-    members = _levels(plan.depth, plan.depth)
+    members = [list(band) for _, band in groupby(plan.depth, plan.depth.get)]
     bands = [outsiders] + members[:0:-1]  # deepest first; the root sends none
     stages = [[(u, plan.batches(u), {plan.parent[u]})
                for u in band if plan.load[u]] for band in bands]
@@ -384,12 +384,15 @@ def _collection_stages(plan: Plan):
 def _distribution_stages(g: NetworkGraph, plan: Plan):
     """Stages of (unit, batches, audience): one per (chunk, sender depth).
 
-    An audience excludes senders at the same or smaller depth since those
-    provably hold the chunk already (they relayed or are relaying it).
+    The depth bands are the senders among ``plan.depth``'s root-first keys,
+    grouped by depth.  An audience excludes senders at the same or smaller
+    depth since those provably hold the chunk already (they relayed or are
+    relaying it).
     """
     bands = []
     holders: set = set()
-    for level in _levels(plan.senders, plan.depth):
+    for _, depth_band in groupby(plan.depth, plan.depth.get):
+        level = [m for m in depth_band if m in plan.senders]
         holders.update(level)
         band = [(m, {v for v in g.adjacency[m] if v not in holders})
                 for m in level]
@@ -441,7 +444,7 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
     for stage in stages:
         queue = {u: deque(batches) for u, batches, _ in stage}
         audience_of = {u: set(aud) for u, _, aud in stage}
-        attempts: dict = {}
+        failed: set = set()  # senders whose last round in this stage failed
         for u in sorted(queue):
             states[u].pending = deque(queue[u])
             states[u].awaiting_ack = set(audience_of[u])
@@ -452,11 +455,8 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
                 out_of_time = True
                 break
             rounds += 1
-            for u in active:
-                key = (u, len(states[u].pending))
-                attempts[key] = attempts.get(key, 0) + 1
-                if attempts[key] > 1:
-                    retx[u] += 1
+            for u in failed:
+                retx[u] += 1
             log = run_round(g, states, active, cfg,
                             round_index=rounds, trace=trace)
             data_messages += log.data_messages
@@ -465,6 +465,7 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
             for u in log.succeeded:
                 if states[u].pending:
                     states[u].awaiting_ack = set(audience_of[u])
+            failed = active - log.succeeded
             active = {u for u in active if states[u].pending}
         if out_of_time:
             break

@@ -151,10 +151,6 @@ class NetworkGraph:
         except KeyError:
             raise ModelError(f"unknown node id {node_id!r}") from None
 
-    def degree(self, node_id: int | str) -> int:
-        """Out-degree of a node."""
-        return len(self.out_neighbors(node_id))
-
     @cached_property
     def max_degree(self) -> int:
         return max((len(v) for v in self.adjacency.values()), default=0)

@@ -19,7 +19,6 @@ at run time.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import statistics
@@ -326,7 +325,3 @@ def experiment_csv_rows(report: ExperimentReport) -> list[tuple[str, ...]]:
                      str(o.makespan), str(o.collisions),
                      str(o.message_lb), str(o.time_lb), f"{o.ratio:.6f}"))
     return rows
-
-
-def write_experiment_csv(report: ExperimentReport, fh) -> None:
-    csv.writer(fh).writerows(experiment_csv_rows(report))

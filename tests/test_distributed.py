@@ -130,6 +130,19 @@ def test_cd_star_collision_punishes_even_clean_senders():
     assert log.control_messages == 1
 
 
+def test_cd_error_slot_lists_its_echoers_in_id_order():
+    # one data slot: 5 and 9 hear 1 and 2 before 3 hears 4 and 6, yet the
+    # shared error slot records its echoers sorted by id
+    g = sym({1: [5, 9], 2: [5, 9], 4: [3], 6: [3],
+             3: [4, 6], 5: [1, 2], 9: [1, 2]})
+    cfg = SimConfig(slot_factor=0.5, seed=0)
+    states = armed(g, cfg, {u: Batch((Rumor(u, 0),)) for u in (1, 2, 4, 6)})
+    log = run_round_cd(g, states, {1, 2, 4, 6}, cfg)
+    errors = [r for r in log.records if r.kind == "error"]
+    assert [r.transmitter for r in errors] == [3, 5, 9]
+    assert {r.slot for r in errors} == {2}
+
+
 def test_cd_round_rejects_bad_transmitters():
     g = edge()
     cfg = SimConfig(slot_factor=1.0)
