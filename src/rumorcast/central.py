@@ -10,8 +10,9 @@ two senders sharing an out-neighbor interfere at that common receiver:
 
 Multi-broadcast is planned once by ``plan_multibroadcast``: the collection
 tree, subtree loads, member depths, pruned distribution senders and fixed
-chunks.  ``multibroadcast_schedule`` times that ``Plan`` round by round,
-and the distributed simulator runs the same ``Plan`` with slotted rounds.
+chunks.  ``multibroadcast_schedule`` times that ``Plan``'s collection unit
+by unit, children before parents, and pipelines its chunks down; the
+distributed simulator runs the same ``Plan`` with slotted rounds.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
 from .model import ModelError, NetworkGraph, hearing
-
-PLANNER_ROUND_CAP = 100_000
 
 
 class ScheduleError(ValueError):
@@ -98,12 +99,10 @@ def _batch(rumors: Iterable[Rumor]) -> Batch:
 
 
 def _rounds_from_map(by_round: Mapping[int, list[Transmission]]) -> Schedule:
-    """Assemble rounds in index order, dropping empty ones."""
+    """Assemble rounds in index order; unused indexes leave no round."""
     rounds = []
     for t in sorted(by_round):
-        txs = by_round[t]
-        if txs:
-            rounds.append(tuple(sorted(txs, key=lambda tx: tx.sender)))
+        rounds.append(tuple(sorted(by_round[t], key=lambda tx: tx.sender)))
     return Schedule(rounds=tuple(rounds))
 
 
@@ -253,13 +252,13 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
     """Deliver one rumor per source to every node, batching rumors.
 
     At most ``compression`` rumors ride in one message.  Collection: rumors
-    climb the plan's collection tree; a relay forwards a full batch as soon
-    as it holds one and drains the remainder once its whole subtree has
-    arrived, so a relay with s subtree rumors sends exactly
-    ceil(s/compression) messages.  Distribution: the plan's fixed chunks
-    ripple down the pruned sender tree in a pipeline, one chunk per relay
-    per round.  A single source delegates to broadcast_schedule, with an
-    identical message count.
+    climb the plan's collection tree, timed unit by unit, children before
+    parents; a relay forwards its smallest c rumors as soon as it holds c
+    and drains the rest once its whole subtree has arrived, so a relay with
+    s subtree rumors sends exactly ceil(s/c) messages.  Distribution: the
+    plan's fixed chunks ripple down the pruned sender tree in a pipeline,
+    one chunk per relay per round.  A single source delegates to
+    broadcast_schedule, with an identical message count.
     """
     c = compression
     if c < 1:
@@ -274,33 +273,31 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
     validate_backbone(g, bb)
     plan = plan_multibroadcast(g, bb, sources, c)
 
-    # collection: round-by-round greedy pipeline
-    units = sorted(plan.own)
-    root = plan.root
-    need = {u: len(plan.load[u]) for u in units}
-    unsent = {u: list(plan.own[u]) for u in units}
-    received = {u: len(plan.own[u]) for u in units}
+    # collection, leaves first: inbox[u] holds (ready round, rumor) pairs,
+    # own rumors at round 0 and each child batch at the round it was sent
+    inbox = {u: [(0, r) for r in rs] for u, rs in plan.own.items()}
+    outsiders = (u for u in plan.own if u not in plan.depth)
     by_round: dict[int, list[Transmission]] = {}
-    t = 0
-    while any(u != root and (unsent[u] or received[u] < need[u])
-              for u in units):
-        t += 1
-        if t > PLANNER_ROUND_CAP:
-            raise ScheduleError("collection planner did not converge")
-        arrivals: dict = {}
-        for u in units:
-            if u == root:
-                continue
-            backlog = unsent[u]
-            complete = received[u] == need[u]
-            if len(backlog) >= c or (complete and backlog):
-                batch, unsent[u] = backlog[:c], backlog[c:]
-                by_round.setdefault(t, []).append(
-                    Transmission(u, _batch(batch)))
-                arrivals.setdefault(plan.parent[u], []).extend(batch)
-        for p, got in arrivals.items():
-            unsent[p] = sorted(unsent[p] + got)
-            received[p] += len(got)
+    for u in reversed([*plan.depth, *outsiders]):
+        if u == plan.root:
+            continue
+        arrivals = sorted(inbox.pop(u), key=itemgetter(0))
+        backlog: list[Rumor] = []
+        i, now = 0, 1
+        while i < len(arrivals) or backlog:
+            while i < len(arrivals) and arrivals[i][0] < now:
+                heappush(backlog, arrivals[i][1])
+                i += 1
+            if len(backlog) >= c or (i == len(arrivals) and backlog):
+                batch = [heappop(backlog)
+                         for _ in range(min(c, len(backlog)))]
+                by_round.setdefault(now, []).append(
+                    Transmission(u, Batch(tuple(batch))))
+                inbox[plan.parent[u]].extend((now, r) for r in batch)
+                now += 1
+            else:  # nothing to send until the next arrival is usable
+                now = arrivals[i][0] + 1
+    t = max(by_round, default=0)
 
     # distribution: chunk j leaves a sender at depth d in round t + j + d
     for m in plan.senders:

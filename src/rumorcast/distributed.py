@@ -180,11 +180,6 @@ def dist_metrics_to_csv(metrics: DistMetrics, path: str) -> None:
                              len(metrics.undelivered)])
 
 
-def _emit(trace: IO | None, record: SlotRecord) -> None:
-    if trace is not None:
-        trace.write(record.to_json() + "\n")
-
-
 def _audible(g: NetworkGraph, talking: list) -> dict:
     """Listener -> the talkers it hears in one slot; talkers are deaf."""
     audible = hearing(g, talking)
@@ -193,16 +188,13 @@ def _audible(g: NetworkGraph, talking: list) -> dict:
     return audible
 
 
-def _log_slot(g: NetworkGraph, records: list, trace: IO | None,
-              round_index: int, slot: int, kind: str, talking: list,
-              audible: Mapping) -> None:
+def _log_slot(g: NetworkGraph, records: list, round_index: int, slot: int,
+              kind: str, talking: list, audible: Mapping) -> None:
     for u in talking:
         reached = [v for v in g.adjacency[u] if v in audible]
         ok = tuple(sorted(v for v in reached if len(audible[v]) == 1))
         bad = tuple(sorted(v for v in reached if len(audible[v]) > 1))
-        rec = SlotRecord(round_index, slot, u, kind, ok, bad)
-        records.append(rec)
-        _emit(trace, rec)
+        records.append(SlotRecord(round_index, slot, u, kind, ok, bad))
 
 
 def _by_slot(slot_of: Mapping) -> dict[int, list]:
@@ -214,8 +206,7 @@ def _by_slot(slot_of: Mapping) -> dict[int, list]:
 
 
 def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
-               records: list, round_index: int,
-               trace: IO | None) -> tuple[set, dict, int]:
+               records: list, round_index: int) -> tuple[set, dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
     A listener hearing exactly one talker takes the batch.  Returns the
@@ -234,7 +225,7 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
             else:
                 collisions_heard += 1
                 first_collision.setdefault(v, s)
-        _log_slot(g, records, trace, round_index, s, "data", talking, audible)
+        _log_slot(g, records, round_index, s, "data", talking, audible)
     return got_data, first_collision, collisions_heard
 
 
@@ -260,8 +251,7 @@ def _open_round(g: NetworkGraph, states: Mapping, transmitters: Iterable,
 
 
 def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
-                 cfg: SimConfig, *, round_index: int = 1,
-                 trace: IO | None = None) -> RoundLog:
+                 cfg: SimConfig, *, round_index: int = 1) -> RoundLog:
     """One collision-detecting round.
 
     Each transmitter sends the front batch of its pending queue in a random
@@ -276,7 +266,7 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     senders, half, slot_of = _open_round(g, states, transmitters, cfg, "cd")
     records: list[SlotRecord] = []
     _, first_collision, collisions_heard = _data_half(
-        g, states, slot_of, records, round_index, trace)
+        g, states, slot_of, records, round_index)
 
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
@@ -286,8 +276,7 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
         collisions_heard += sum(1 for heard in audible.values()
                                 if len(heard) > 1)
         noisy.update(audible)
-        _log_slot(g, records, trace, round_index, s, "error", yelling,
-                  audible)
+        _log_slot(g, records, round_index, s, "error", yelling, audible)
 
     # a sender that heard no error slot at all declares success
     succeeded = set()
@@ -302,8 +291,7 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
 
 
 def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
-                   cfg: SimConfig, *, round_index: int = 1,
-                   trace: IO | None = None) -> RoundLog:
+                   cfg: SimConfig, *, round_index: int = 1) -> RoundLog:
     """One acknowledgement round.
 
     Each transmitter sends its front batch addressed to its awaiting_ack
@@ -325,7 +313,7 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
                 f"transmitter {u!r} addresses non-neighbors {sorted(extra, key=str)}")
     records: list[SlotRecord] = []
     got_data, _, collisions_heard = _data_half(
-        g, states, slot_of, records, round_index, trace)
+        g, states, slot_of, records, round_index)
 
     # every listener that received data this round acks once; ackers are
     # never simultaneously data senders, so one slot each suffices
@@ -348,10 +336,8 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
             elif set(states[u].pending[0].rumors) <= states[v].held_rumors:
                 ok.append(u)
                 states[u].awaiting_ack.discard(v)
-        rec = SlotRecord(round_index, ack_slot[v], v, "ack",
-                         tuple(sorted(ok)), tuple(sorted(bad)))
-        records.append(rec)
-        _emit(trace, rec)
+        records.append(SlotRecord(round_index, ack_slot[v], v, "ack",
+                                  tuple(sorted(ok)), tuple(sorted(bad))))
 
     succeeded = set()
     for u in senders:
@@ -413,6 +399,7 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
     loads upward, then every repacked chunk ripples down band by band.
     Contention inside a stage is resolved by the randomized rounds.  When
     max_rounds runs out the metrics report whatever is still undelivered.
+    With ``trace``, each round's slot records are written as JSONL lines.
     """
     if compression < 1:
         raise DistributedError(
@@ -457,8 +444,9 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
             rounds += 1
             for u in failed:
                 retx[u] += 1
-            log = run_round(g, states, active, cfg,
-                            round_index=rounds, trace=trace)
+            log = run_round(g, states, active, cfg, round_index=rounds)
+            if trace is not None:
+                trace.writelines(rec.to_json() + "\n" for rec in log.records)
             data_messages += log.data_messages
             control_messages += log.control_messages
             collisions_heard += log.collisions_heard

@@ -413,12 +413,14 @@ def network_to_dict(g: NetworkGraph) -> dict:
 
 
 def network_from_dict(data: Mapping) -> NetworkGraph:
+    if not isinstance(data, Mapping):
+        raise ModelError("network description must be an object")
     if "adjacency" in data:
         if "nodes" in data or "obstacles" in data:
             raise ModelError(
                 "explicit adjacency excludes nodes and obstacles")
         try:
-            adj = {u: outs for u, outs in data["adjacency"]}
+            adj = {u: set(outs) for u, outs in data["adjacency"]}
             alpha = float(data.get("alpha", 2.0))
         except (TypeError, ValueError) as exc:
             raise ModelError(
@@ -433,9 +435,9 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
                      for o in data.get("obstacles", [])]
         alpha = float(data.get("alpha", 2.0))
         strict = bool(data.get("strict", False))
-    except (KeyError, TypeError) as exc:
+        return build_network(nodes, obstacles, alpha, strict=strict)
+    except (KeyError, TypeError) as exc:  # also a list or object as id
         raise ModelError(f"malformed network description: {exc}") from exc
-    return build_network(nodes, obstacles, alpha, strict=strict)
 
 
 def save_network(g: NetworkGraph, path: str) -> None:

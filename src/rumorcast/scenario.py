@@ -132,6 +132,8 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
     ``data["network"]`` may be an inline network object or a path to a
     network JSON file, resolved against ``base_dir`` when relative.
     """
+    if not isinstance(data, Mapping):
+        raise ScenarioError("scenario must be an object")
     extra = set(data) - _SCENARIO_KEYS
     if extra:
         raise ScenarioError(f"unknown scenario keys {sorted(extra)}")
@@ -147,19 +149,29 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
     else:
         raise ScenarioError("network must be an object or a file path")
     cfg_data = data.get("cfg", {})
+    if not isinstance(cfg_data, Mapping):
+        raise ScenarioError("cfg must be an object")
     extra = set(cfg_data) - _CFG_KEYS
     if extra:
         raise ScenarioError(f"unknown cfg keys {sorted(extra)}")
+    sources = data["sources"]
+    if not isinstance(sources, list) or any(
+            isinstance(s, (list, dict)) for s in sources):
+        raise ScenarioError("sources must be a list of node ids")
     supplied = cfg_data.get("supplied_max_degree")
-    cfg = SimConfig(
-        slot_factor=float(cfg_data.get("mu", 2.0)),
-        max_rounds=int(cfg_data.get("max_rounds", 10_000)),
-        degree_knowledge=cfg_data.get("degree_knowledge", "exact"),
-        supplied_max_degree=None if supplied is None else int(supplied),
-    )
+    try:  # a value such as null or a list does not convert
+        compression = int(data["c"])
+        cfg = SimConfig(
+            slot_factor=float(cfg_data.get("mu", 2.0)),
+            max_rounds=int(cfg_data.get("max_rounds", 10_000)),
+            degree_knowledge=cfg_data.get("degree_knowledge", "exact"),
+            supplied_max_degree=None if supplied is None else int(supplied),
+        )
+    except TypeError as exc:
+        raise ScenarioError(f"malformed scenario number: {exc}") from exc
     return Scenario(name=str(data["name"]), network=network,
-                    sources=tuple(data["sources"]),
-                    compression=int(data["c"]),
+                    sources=tuple(sources),
+                    compression=compression,
                     mode=data.get("mode", "centralized"), cfg=cfg,
                     backbone_kind=data.get("backbone", "greedy"))
 

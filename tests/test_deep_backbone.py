@@ -3,6 +3,8 @@
 A path longer than ``sys.getrecursionlimit()`` nodes gives a greedy
 backbone of about the same depth.  It must run end to end through
 ``run_experiment`` in the centralized and the collision-detecting mode.
+A 3000-member path backbone must also go through the centralized
+schedule, the collision-free transform and the simulator.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import sys
 
 import pytest
 
+from rumorcast.backbone import Backbone
+from rumorcast.central import (Rumor, make_collision_free,
+                               multibroadcast_schedule, simulate_schedule)
 from rumorcast.model import NetworkGraph
 from rumorcast.scenario import Scenario, run_experiment
 
@@ -36,3 +41,19 @@ def test_path_deeper_than_recursion_limit(mode):
     assert run.makespan >= run.time_lb
     if mode == "centralized":
         assert run.collisions == 0
+
+
+def test_3000_member_path_backbone_delivers_everything():
+    n = 3000
+    g = NetworkGraph.from_adjacency(
+        {i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)})
+    bb = Backbone(members=tuple(range(n)), root=0,
+                  parent={i: i - 1 if i else None for i in range(n)})
+    sources = (0, n // 2, n - 1)
+    sched = multibroadcast_schedule(g, bb, sources, 2)
+    metrics = simulate_schedule(g, make_collision_free(g, sched),
+                                interference=True)
+    assert metrics.collisions == 0
+    everyone = frozenset(g.node_ids)
+    for i, s in enumerate(sources):
+        assert metrics.nodes_holding(Rumor(s, i)) == everyone

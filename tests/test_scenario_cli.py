@@ -230,3 +230,46 @@ def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["run", "--scenario", spath]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: planner fell over\n"
+
+
+def _validate_exit(tmp_path, capsys, edit) -> int:
+    """Exit code of ``validate`` on the star-path scenario after ``edit``."""
+    spath = tmp_path / "sp.json"
+    assert main(["gen", "star-path", "--k", "3", "--d", "1", "--c", "3",
+                 "--out", str(spath)]) == 0
+    data = json.loads(spath.read_text())
+    edit(data)
+    spath.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["validate", "--scenario", str(spath)])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+    return code
+
+
+def test_cli_null_compression_exits_2(tmp_path, capsys):
+    assert _validate_exit(tmp_path, capsys,
+                          lambda d: d.update(c=None)) == 2
+
+
+def test_cli_null_mu_exits_2(tmp_path, capsys):
+    assert _validate_exit(tmp_path, capsys,
+                          lambda d: d.update(cfg={"mu": None})) == 2
+
+
+def test_cli_list_cfg_exits_2(tmp_path, capsys):
+    assert _validate_exit(tmp_path, capsys,
+                          lambda d: d.update(cfg=[])) == 2
+
+
+def test_cli_list_source_exits_2(tmp_path, capsys):
+    assert _validate_exit(tmp_path, capsys,
+                          lambda d: d.update(sources=[[0]])) == 2
+
+
+def test_cli_list_geometric_node_id_exits_2(tmp_path, capsys):
+    network = {"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "power": 1.0},
+                         {"id": [1], "x": 0.5, "y": 0.0, "power": 1.0}]}
+    assert _validate_exit(
+        tmp_path, capsys,
+        lambda d: d.update(network=network, sources=[0], c=1)) == 2
