@@ -13,6 +13,11 @@ tree, subtree loads, member depths, pruned distribution senders and fixed
 chunks.  ``multibroadcast_schedule`` times that ``Plan``'s collection unit
 by unit, children before parents, and pipelines its chunks down; the
 distributed simulator runs the same ``Plan`` with slotted rounds.
+
+``simulate_schedule`` indexes the schedule's rumors densely and holds each
+node's rumors as one int bitmask; ``Metrics`` keeps the final masks and a
+log of first arrivals, and builds its per-rumor ``delivery_time`` view only
+when it is read.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -83,15 +89,47 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Outcome of simulating a schedule."""
+    """Outcome of simulating a schedule.
+
+    Holdings are int bitmasks over ``rumors``, the schedule's rumors in
+    order of first appearance: bit i of ``held[v]`` is set when node v
+    actually holds ``rumors[i]`` at the end.  ``arrivals`` logs each
+    ``(round, node, newly held mask)`` in execution order, the sources at
+    round 0 first.  ``delivery_time`` maps each rumor to its actual holders
+    and the round each first held it; it is rebuilt from ``arrivals`` on
+    first use and then cached.
+    """
 
     messages: int
     makespan: int
     collisions: int
-    delivery_time: Mapping[Rumor, Mapping[int | str, int]]
+    rumors: tuple[Rumor, ...]
+    held: Mapping[int | str, int]
+    arrivals: tuple[tuple[int, int | str, int], ...]
+
+    @cached_property
+    def delivery_time(self) -> Mapping[Rumor, Mapping[int | str, int]]:
+        delivery: dict[Rumor, dict] = {r: {} for r in self.rumors}
+        for t, v, mask in self.arrivals:
+            while mask:
+                low = mask & -mask
+                delivery[self.rumors[low.bit_length() - 1]][v] = t
+                mask ^= low
+        return delivery
 
     def nodes_holding(self, rumor: Rumor) -> frozenset:
         return frozenset(self.delivery_time.get(rumor, {}))
+
+    def holds_all(self, rumors: Iterable[Rumor]) -> bool:
+        """Whether every node holds each of ``rumors``; a rumor that the
+        schedule never carries is held by no one."""
+        index = {r: i for i, r in enumerate(self.rumors)}
+        want = 0
+        for r in rumors:
+            if r not in index:
+                return False
+            want |= 1 << index[r]
+        return all(mask & want == want for mask in self.held.values())
 
 
 def _batch(rumors: Iterable[Rumor]) -> Batch:
@@ -345,19 +383,36 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
     receptions succeed.  With ``interference=True`` a reception is jammed
     when the receiver hears more than one sender of the round; each jammed
     reception counts as one collision (losses are counted, not propagated).
-    Delivery times record when each node actually first held each rumor; a
-    rumor's source holds it at round 0.
+    A rumor's source holds it at round 0.
+
+    Each rumor gets a dense index and each node's holdings, planned and
+    actual, are one int bitmask; each distinct ``Batch`` object's mask is
+    computed once, so a reception is a few int operations whatever the
+    batch size.  See ``Metrics`` for what is kept.
     """
-    plan_hold: dict = {u: set() for u in g.node_ids}
-    # delivery[r]: the nodes that actually hold r, with their first round
-    delivery: dict[Rumor, dict] = {}
+    index: dict[Rumor, int] = {}
+    mask_of: dict[int, int] = {}  # id(batch) -> mask of its rumors
     for rnd in sched.rounds:
         for tx in rnd:
+            if id(tx.batch) in mask_of:
+                continue
+            mask = 0
             for r in tx.batch.rumors:
-                if r.source not in g.adjacency:
-                    raise ScheduleError(f"rumor source {r.source!r} unknown")
-                plan_hold[r.source].add(r)
-                delivery.setdefault(r, {})[r.source] = 0
+                i = index.get(r)
+                if i is None:
+                    if r.source not in g.adjacency:
+                        raise ScheduleError(
+                            f"rumor source {r.source!r} unknown")
+                    i = index[r] = len(index)
+                mask |= 1 << i
+            mask_of[id(tx.batch)] = mask
+    rumors = tuple(index)
+    plan_hold = dict.fromkeys(g.node_ids, 0)
+    arrivals = []
+    for i, r in enumerate(rumors):
+        plan_hold[r.source] |= 1 << i
+        arrivals.append((0, r.source, 1 << i))
+    held = dict(plan_hold)
 
     collisions = 0
     for t, rnd in enumerate(sched.rounds, start=1):
@@ -369,26 +424,29 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
                 raise ScheduleError(
                     f"round {t}: sender {tx.sender!r} transmits twice")
             seen_senders.add(tx.sender)
-            missing = [r for r in tx.batch.rumors
-                       if r not in plan_hold[tx.sender]]
-            if missing:
+            lacking = mask_of[id(tx.batch)] & ~plan_hold[tx.sender]
+            if lacking:
+                missing = next(r for r in tx.batch.rumors
+                               if lacking >> index[r] & 1)
                 raise ScheduleError(
                     f"round {t}: sender {tx.sender!r} does not hold "
-                    f"{missing[0]}")
+                    f"{missing}")
         # receptions
-        heard = hearing(g, [tx.sender for tx in rnd])
+        heard = hearing(g, [tx.sender for tx in rnd]) if interference else {}
         for tx in rnd:
+            b = mask_of[id(tx.batch)]
             for v in g.adjacency[tx.sender]:
                 if interference and len(heard[v]) > 1:
                     collisions += 1
                 else:
-                    for r in tx.batch.rumors:
-                        delivery[r].setdefault(v, t)
-                for r in tx.batch.rumors:
-                    plan_hold[v].add(r)
-    frozen = {r: dict(times) for r, times in delivery.items()}
+                    new = b & ~held[v]
+                    if new:
+                        held[v] |= new
+                        arrivals.append((t, v, new))
+                plan_hold[v] |= b
     return Metrics(messages=sched.message_count, makespan=sched.makespan,
-                   collisions=collisions, delivery_time=frozen)
+                   collisions=collisions, rumors=rumors, held=held,
+                   arrivals=tuple(arrivals))
 
 
 # --- serialization ---------------------------------------------------------

@@ -61,8 +61,8 @@ class SimConfig:
     supplied_max_degree: int | None = None
 
     def __post_init__(self):
-        if self.slot_factor <= 0:
-            raise DistributedError("slot_factor must be positive")
+        if not 0 < self.slot_factor < math.inf:  # NaN fails too
+            raise DistributedError("slot_factor must be finite and positive")
         if self.mode not in ("cd", "nocd"):
             raise DistributedError(f"unknown mode {self.mode!r}")
         if self.max_rounds < 1:

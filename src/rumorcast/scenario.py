@@ -126,6 +126,13 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+def _integer(value, key: str) -> int:
+    """``int(value)``, refusing a float that would be truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
     """Build a scenario from its JSON form.
 
@@ -160,12 +167,14 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
         raise ScenarioError("sources must be a list of node ids")
     supplied = cfg_data.get("supplied_max_degree")
     try:  # a value such as null or a list does not convert
-        compression = int(data["c"])
+        compression = _integer(data["c"], "c")
         cfg = SimConfig(
             slot_factor=float(cfg_data.get("mu", 2.0)),
-            max_rounds=int(cfg_data.get("max_rounds", 10_000)),
+            max_rounds=_integer(cfg_data.get("max_rounds", 10_000),
+                                "max_rounds"),
             degree_knowledge=cfg_data.get("degree_knowledge", "exact"),
-            supplied_max_degree=None if supplied is None else int(supplied),
+            supplied_max_degree=None if supplied is None else _integer(
+                supplied, "supplied_max_degree"),
         )
     except TypeError as exc:
         raise ScenarioError(f"malformed scenario number: {exc}") from exc
@@ -251,9 +260,8 @@ def _centralized_outcome(sc: Scenario, bb: Backbone) -> tuple:
                                     sc.compression)
     safe = make_collision_free(sc.network, sched)
     metrics = simulate_schedule(sc.network, safe, interference=True)
-    rumors = [Rumor(s, i) for i, s in enumerate(sc.sources)]
-    everyone = frozenset(sc.network.node_ids)
-    undelivered = any(metrics.nodes_holding(r) != everyone for r in rumors)
+    undelivered = not metrics.holds_all(
+        Rumor(s, i) for i, s in enumerate(sc.sources))
     violations = []
     if metrics.collisions:
         violations.append("interference survived the collision-free "

@@ -356,3 +356,41 @@ def test_schedule_csv_rows(tmp_path):
     assert lines[1] == "1,a,a:0,1"
     assert lines[2] == "2,b,a:0,2"
     assert lines[3] == "3,c,a:0,2"
+
+
+def test_run_experiment_never_builds_the_delivery_view(monkeypatch):
+    from rumorcast import scenario
+    from rumorcast.fixtures import gen_star_path
+
+    seen = []
+
+    def spy(*args, **kw):
+        seen.append(simulate_schedule(*args, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr(scenario, "simulate_schedule", spy)
+    g, sources = gen_star_path(3, 1)
+    sc = scenario.Scenario(name="sp", network=g, sources=tuple(sources),
+                           compression=2)
+    assert scenario.run_experiment(sc, [0, 1]).ok
+    assert len(seen) == 1
+    assert "delivery_time" not in seen[0].__dict__
+
+
+def test_holds_all_reads_the_masks():
+    g, _ = path4()
+    ra, rb, rc = Rumor("a", 0), Rumor("b", 0), Rumor("c", 0)
+    sched = Schedule(rounds=(
+        (Transmission("a", Batch((ra,))),),
+        (Transmission("b", Batch((ra,))),),
+        (Transmission("c", Batch((ra,))), Transmission("b", Batch((rb,)))),
+    ))
+    metrics = simulate_schedule(g, sched)
+    assert metrics.holds_all([ra])
+    assert metrics.holds_all([])
+    assert not metrics.holds_all([ra, rb])  # b's rumor never reaches d
+    assert not metrics.holds_all([ra, rc])  # c's rumor is not scheduled
+    assert not metrics.holds_all([Rumor("a", 1)])
+    assert "delivery_time" not in metrics.__dict__
+    assert metrics.nodes_holding(rb) == {"a", "b", "c"}
+    assert metrics.nodes_holding(rc) == frozenset()

@@ -273,3 +273,42 @@ def test_cli_list_geometric_node_id_exits_2(tmp_path, capsys):
     assert _validate_exit(
         tmp_path, capsys,
         lambda d: d.update(network=network, sources=[0], c=1)) == 2
+
+
+def test_cli_infinite_mu_exits_2(tmp_path, capsys):
+    assert _validate_exit(tmp_path, capsys,
+                          lambda d: d.update(cfg={"mu": float("inf")})) == 2
+
+
+def test_cli_nan_mu_exits_2(tmp_path, capsys):
+    assert _validate_exit(tmp_path, capsys,
+                          lambda d: d.update(cfg={"mu": float("nan")})) == 2
+
+
+def test_cli_fractional_compression_exits_2(tmp_path, capsys):
+    assert _validate_exit(tmp_path, capsys,
+                          lambda d: d.update(c=1.5)) == 2
+
+
+def test_cli_fractional_max_rounds_exits_2(tmp_path, capsys):
+    assert _validate_exit(tmp_path, capsys,
+                          lambda d: d.update(cfg={"max_rounds": 2.7})) == 2
+
+
+def test_cli_fractional_supplied_max_degree_exits_2(tmp_path, capsys):
+    cfg = {"degree_knowledge": "supplied", "supplied_max_degree": 2.5}
+    assert _validate_exit(tmp_path, capsys,
+                          lambda d: d.update(cfg=cfg)) == 2
+
+
+def test_cli_integral_float_compression_loads(tmp_path, capsys):
+    spath = tmp_path / "sp.json"
+    assert main(["gen", "star-path", "--k", "3", "--d", "1", "--c", "3",
+                 "--out", str(spath)]) == 0
+    data = json.loads(spath.read_text())
+    data["c"] = 2.0
+    spath.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", "--scenario", str(spath)]) == 0
+    assert "c=2," in capsys.readouterr().out
+    assert scenario_from_dict(data).compression == 2
