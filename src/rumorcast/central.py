@@ -14,7 +14,8 @@ chunks.  ``multibroadcast_schedule`` times that ``Plan``'s collection unit
 by unit, children before parents, and pipelines its chunks down; the
 distributed simulator runs the same ``Plan`` with slotted rounds.
 
-``simulate_schedule`` indexes the schedule's rumors densely and holds each
+``simulate_schedule`` indexes the schedule's rumors densely with a
+``RumorIndex`` (which the distributed simulator uses too) and holds each
 node's rumors as one int bitmask; ``Metrics`` keeps the final masks and a
 log of first arrivals, and builds its per-rumor ``delivery_time`` view only
 when it is read.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
 from .model import ModelError, NetworkGraph, hearing
@@ -87,6 +88,48 @@ class Schedule:
                          for tx in rnd for r in tx.batch.rumors)
 
 
+def rumors_in(rumors: Sequence[Rumor], mask: int) -> Iterator[Rumor]:
+    """The rumors whose bits are set in ``mask``, lowest bit first."""
+    while mask:
+        low = mask & -mask
+        yield rumors[low.bit_length() - 1]
+        mask ^= low
+
+
+class RumorIndex:
+    """A dense bit per rumor and a cached mask per ``Batch`` object.
+
+    Rumors get bits in order of first registration; ``rumors[i]`` is the
+    rumor of bit i.  ``batch_mask`` computes each distinct batch's mask
+    once, keyed by ``id`` and keeping the batch alive so its id stays its
+    own.
+    """
+
+    __slots__ = ("rumors", "bit", "_batches")
+
+    def __init__(self):
+        self.rumors: list[Rumor] = []
+        self.bit: dict[Rumor, int] = {}
+        self._batches: dict[int, tuple[Batch, int]] = {}
+
+    def mask(self, rumors: Iterable[Rumor]) -> int:
+        """The mask of ``rumors``, registering the ones not yet indexed."""
+        mask = 0
+        for r in rumors:
+            i = self.bit.get(r)
+            if i is None:
+                i = self.bit[r] = len(self.rumors)
+                self.rumors.append(r)
+            mask |= 1 << i
+        return mask
+
+    def batch_mask(self, batch: Batch) -> int:
+        hit = self._batches.get(id(batch))
+        if hit is None:
+            hit = self._batches[id(batch)] = (batch, self.mask(batch.rumors))
+        return hit[1]
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Outcome of simulating a schedule.
@@ -111,10 +154,8 @@ class Metrics:
     def delivery_time(self) -> Mapping[Rumor, Mapping[int | str, int]]:
         delivery: dict[Rumor, dict] = {r: {} for r in self.rumors}
         for t, v, mask in self.arrivals:
-            while mask:
-                low = mask & -mask
-                delivery[self.rumors[low.bit_length() - 1]][v] = t
-                mask ^= low
+            for r in rumors_in(self.rumors, mask):
+                delivery[r][v] = t
         return delivery
 
     def nodes_holding(self, rumor: Rumor) -> frozenset:
@@ -390,51 +431,39 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
     computed once, so a reception is a few int operations whatever the
     batch size.  See ``Metrics`` for what is kept.
     """
-    index: dict[Rumor, int] = {}
-    mask_of: dict[int, int] = {}  # id(batch) -> mask of its rumors
-    for rnd in sched.rounds:
-        for tx in rnd:
-            if id(tx.batch) in mask_of:
-                continue
-            mask = 0
-            for r in tx.batch.rumors:
-                i = index.get(r)
-                if i is None:
-                    if r.source not in g.adjacency:
-                        raise ScheduleError(
-                            f"rumor source {r.source!r} unknown")
-                    i = index[r] = len(index)
-                mask |= 1 << i
-            mask_of[id(tx.batch)] = mask
-    rumors = tuple(index)
+    index = RumorIndex()
+    masks = [[index.batch_mask(tx.batch) for tx in rnd]
+             for rnd in sched.rounds]
+    rumors = tuple(index.rumors)
     plan_hold = dict.fromkeys(g.node_ids, 0)
     arrivals = []
     for i, r in enumerate(rumors):
+        if r.source not in g.adjacency:
+            raise ScheduleError(f"rumor source {r.source!r} unknown")
         plan_hold[r.source] |= 1 << i
         arrivals.append((0, r.source, 1 << i))
     held = dict(plan_hold)
 
     collisions = 0
-    for t, rnd in enumerate(sched.rounds, start=1):
+    for t, (rnd, row) in enumerate(zip(sched.rounds, masks), start=1):
         seen_senders = set()
-        for tx in rnd:
+        for tx, b in zip(rnd, row):
             if tx.sender not in g.adjacency:
                 raise ScheduleError(f"round {t}: unknown sender {tx.sender!r}")
             if tx.sender in seen_senders:
                 raise ScheduleError(
                     f"round {t}: sender {tx.sender!r} transmits twice")
             seen_senders.add(tx.sender)
-            lacking = mask_of[id(tx.batch)] & ~plan_hold[tx.sender]
+            lacking = b & ~plan_hold[tx.sender]
             if lacking:
                 missing = next(r for r in tx.batch.rumors
-                               if lacking >> index[r] & 1)
+                               if lacking >> index.bit[r] & 1)
                 raise ScheduleError(
                     f"round {t}: sender {tx.sender!r} does not hold "
                     f"{missing}")
         # receptions
         heard = hearing(g, [tx.sender for tx in rnd]) if interference else {}
-        for tx in rnd:
-            b = mask_of[id(tx.batch)]
+        for tx, b in zip(rnd, row):
             for v in g.adjacency[tx.sender]:
                 if interference and len(heard[v]) > 1:
                     collisions += 1

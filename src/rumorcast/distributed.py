@@ -15,8 +15,16 @@ subtree loads to the root, then each chunk ripples down the pruned sender
 tree.  The rounds inside each stage are randomized.
 
 Every node owns an independent deterministic random stream derived from
-(seed, node id), so runs replay bit-for-bit.  A node transmits in at most
-one slot per round: data senders never echo, and ackers never send data.
+(seed, node id), so runs replay bit-for-bit; a stream is seeded on the
+node's first draw, so nodes that only listen or echo never seed one.  A
+node transmits in at most one slot per round: data senders never echo,
+and ackers never send data.
+
+A node holds its rumors as an int bitmask over a ``central.RumorIndex``
+that all states of one run share, so a clean reception is one ``|=`` of
+the batch's cached mask.  A round keeps the raw slot and ack data it
+already computed and builds its ``SlotRecord``s only when they are read,
+which untraced runs never do.
 
 Who hears whom in a slot comes from ``model.hearing`` over the talkers'
 out-neighbor lists, minus the talkers themselves: a transmitting node is
@@ -31,11 +39,12 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import IO, Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
-from .central import Plan, plan_multibroadcast
+from .central import Plan, RumorIndex, plan_multibroadcast, rumors_in
 from .model import ModelError, NetworkGraph, hearing
 
 
@@ -90,19 +99,52 @@ def slot_count(g: NetworkGraph, cfg: SimConfig) -> int:
     return max(1, math.ceil(cfg.slot_factor * top))
 
 
-@dataclass
 class NodeState:
-    """Mutable per-node simulator state."""
+    """Mutable per-node simulator state.
 
-    held_rumors: set = field(default_factory=set)
-    pending: deque = field(default_factory=deque)
-    awaiting_ack: set = field(default_factory=set)
-    rng_stream: random.Random = field(default_factory=random.Random)
+    ``held`` is a bitmask over ``index``, the ``RumorIndex`` that every
+    state of one ``init_states`` call shares; ``held_rumors`` reads it as a
+    frozenset and can be assigned any iterable of rumors.  ``pending``
+    queues the batches still to send and ``awaiting_ack`` the listeners
+    that must still confirm the front one.  ``rng_stream`` is
+    ``node_rng(seed, node)``, built on the node's first draw.
+    """
+
+    __slots__ = ("index", "held", "pending", "awaiting_ack", "_seed",
+                 "_node", "_rng")
+
+    def __init__(self, index: RumorIndex, seed: int, node: int | str):
+        self.index = index
+        self.held = 0
+        self.pending: deque = deque()
+        self.awaiting_ack: set = set()
+        self._seed = seed
+        self._node = node
+        self._rng: random.Random | None = None
+
+    @property
+    def held_rumors(self) -> frozenset:
+        return frozenset(rumors_in(self.index.rumors, self.held))
+
+    @held_rumors.setter
+    def held_rumors(self, rumors: Iterable) -> None:
+        self.held = self.index.mask(rumors)
+
+    @property
+    def rng_stream(self) -> random.Random:
+        if self._rng is None:
+            self._rng = node_rng(self._seed, self._node)
+        return self._rng
+
+    def front_mask(self) -> int:
+        """The mask of the batch at the front of ``pending``."""
+        return self.index.batch_mask(self.pending[0])
 
 
 def init_states(g: NetworkGraph, cfg: SimConfig) -> dict:
-    return {u: NodeState(rng_stream=node_rng(cfg.seed, u))
-            for u in g.node_ids}
+    """A fresh state per node, all over one new rumor index."""
+    index = RumorIndex()
+    return {u: NodeState(index, cfg.seed, u) for u in g.node_ids}
 
 
 @dataclass(frozen=True)
@@ -127,13 +169,38 @@ class SlotRecord:
 
 @dataclass(frozen=True)
 class RoundLog:
-    """What one simulated round did."""
+    """What one simulated round did.
 
-    records: tuple[SlotRecord, ...]
+    ``slots`` holds ``(kind, slot, talkers, audible)`` for each data or
+    error slot and ``acks`` holds ``(slot, acker, senders reached, senders
+    jammed)`` for each ack, both in trace order.  ``records``, the round's
+    ``SlotRecord``s, is built from them on first read and then cached, so
+    a run that never reads it builds none.
+    """
+
     succeeded: frozenset
     data_messages: int
     control_messages: int
     collisions_heard: int
+    graph: NetworkGraph = field(repr=False)
+    round_index: int
+    slots: tuple
+    acks: tuple = ()
+
+    @cached_property
+    def records(self) -> tuple[SlotRecord, ...]:
+        t = self.round_index
+        records = []
+        for kind, s, talking, audible in self.slots:
+            for u in talking:
+                reached = [v for v in self.graph.adjacency[u] if v in audible]
+                ok = tuple(sorted(v for v in reached if len(audible[v]) == 1))
+                bad = tuple(sorted(v for v in reached if len(audible[v]) > 1))
+                records.append(SlotRecord(t, s, u, kind, ok, bad))
+        records.extend(SlotRecord(t, s, v, "ack", tuple(sorted(ok)),
+                                  tuple(sorted(bad)))
+                       for s, v, ok, bad in self.acks)
+        return tuple(records)
 
 
 @dataclass(frozen=True)
@@ -188,15 +255,6 @@ def _audible(g: NetworkGraph, talking: list) -> dict:
     return audible
 
 
-def _log_slot(g: NetworkGraph, records: list, round_index: int, slot: int,
-              kind: str, talking: list, audible: Mapping) -> None:
-    for u in talking:
-        reached = [v for v in g.adjacency[u] if v in audible]
-        ok = tuple(sorted(v for v in reached if len(audible[v]) == 1))
-        bad = tuple(sorted(v for v in reached if len(audible[v]) > 1))
-        records.append(SlotRecord(round_index, slot, u, kind, ok, bad))
-
-
 def _by_slot(slot_of: Mapping) -> dict[int, list]:
     """Each used slot -> its talkers sorted, keyed in slot order."""
     talkers: dict = {}
@@ -206,10 +264,11 @@ def _by_slot(slot_of: Mapping) -> dict[int, list]:
 
 
 def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
-               records: list, round_index: int) -> tuple[set, dict, int]:
+               slots: list) -> tuple[set, dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
-    A listener hearing exactly one talker takes the batch.  Returns the
+    A listener hearing exactly one talker takes the batch.  Appends each
+    slot's ``("data", slot, talkers, audible)`` to ``slots``.  Returns the
     listeners that got data, each listener's first collision slot, and
     the number of collisions heard.
     """
@@ -218,14 +277,15 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
     collisions_heard = 0
     for s, talking in _by_slot(slot_of).items():
         audible = _audible(g, talking)
+        sent = {u: states[u].front_mask() for u in talking}
         for v, heard in audible.items():
             if len(heard) == 1:
-                states[v].held_rumors.update(states[heard[0]].pending[0].rumors)
+                states[v].held |= sent[heard[0]]
                 got_data.add(v)
             else:
                 collisions_heard += 1
                 first_collision.setdefault(v, s)
-        _log_slot(g, records, round_index, s, "data", talking, audible)
+        slots.append(("data", s, talking, audible))
     return got_data, first_collision, collisions_heard
 
 
@@ -264,9 +324,9 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     slot has received the batch.
     """
     senders, half, slot_of = _open_round(g, states, transmitters, cfg, "cd")
-    records: list[SlotRecord] = []
-    _, first_collision, collisions_heard = _data_half(
-        g, states, slot_of, records, round_index)
+    slots: list = []
+    _, first_collision, collisions_heard = _data_half(g, states, slot_of,
+                                                      slots)
 
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
@@ -276,7 +336,7 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
         collisions_heard += sum(1 for heard in audible.values()
                                 if len(heard) > 1)
         noisy.update(audible)
-        _log_slot(g, records, round_index, s, "error", yelling, audible)
+        slots.append(("error", s, yelling, audible))
 
     # a sender that heard no error slot at all declares success
     succeeded = set()
@@ -284,10 +344,11 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
         if u not in noisy:
             succeeded.add(u)
             states[u].pending.popleft()
-    return RoundLog(records=tuple(records), succeeded=frozenset(succeeded),
+    return RoundLog(succeeded=frozenset(succeeded),
                     data_messages=len(senders),
                     control_messages=len(echoers),
-                    collisions_heard=collisions_heard)
+                    collisions_heard=collisions_heard, graph=g,
+                    round_index=round_index, slots=tuple(slots))
 
 
 def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
@@ -311,9 +372,8 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
         if extra:
             raise DistributedError(
                 f"transmitter {u!r} addresses non-neighbors {sorted(extra, key=str)}")
-    records: list[SlotRecord] = []
-    got_data, _, collisions_heard = _data_half(
-        g, states, slot_of, records, round_index)
+    slots: list = []
+    got_data, _, collisions_heard = _data_half(g, states, slot_of, slots)
 
     # every listener that received data this round acks once; ackers are
     # never simultaneously data senders, so one slot each suffices
@@ -323,6 +383,7 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     listed_by = {v: [u for u in senders if v in states[u].awaiting_ack]
                  for v in ackers}
     sharing = _by_slot(ack_slot)
+    acks = []
     for v in ackers:
         ok = []
         bad = []
@@ -333,21 +394,22 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
             if rivals:
                 bad.append(u)
                 collisions_heard += 1
-            elif set(states[u].pending[0].rumors) <= states[v].held_rumors:
+            elif not states[u].front_mask() & ~states[v].held:
                 ok.append(u)
                 states[u].awaiting_ack.discard(v)
-        records.append(SlotRecord(round_index, ack_slot[v], v, "ack",
-                                  tuple(sorted(ok)), tuple(sorted(bad))))
+        acks.append((ack_slot[v], v, ok, bad))
 
     succeeded = set()
     for u in senders:
         if not states[u].awaiting_ack:
             succeeded.add(u)
             states[u].pending.popleft()
-    return RoundLog(records=tuple(records), succeeded=frozenset(succeeded),
+    return RoundLog(succeeded=frozenset(succeeded),
                     data_messages=len(senders),
                     control_messages=len(ackers),
-                    collisions_heard=collisions_heard)
+                    collisions_heard=collisions_heard, graph=g,
+                    round_index=round_index, slots=tuple(slots),
+                    acks=tuple(acks))
 
 
 def _collection_stages(plan: Plan):
@@ -416,8 +478,10 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
 
     plan = plan_multibroadcast(g, bb, sources, compression)
     states = init_states(g, cfg)
+    index = states[plan.root].index
+    everything = index.mask(plan.rumors)  # the plan's rumors get bits first
     for r in plan.rumors:
-        states[r.source].held_rumors.add(r)
+        states[r.source].held |= index.mask((r,))
 
     run_round = run_round_cd if cfg.mode == "cd" else run_round_nocd
     stages = _collection_stages(plan) + _distribution_stages(g, plan)
@@ -459,8 +523,8 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
             break
 
     undelivered = frozenset(
-        (node, r) for node in g.node_ids for r in plan.rumors
-        if r not in states[node].held_rumors)
+        (node, r) for node in g.node_ids
+        for r in rumors_in(index.rumors, everything & ~states[node].held))
     return DistMetrics(rounds=rounds, data_messages=data_messages,
                        control_messages=control_messages,
                        retransmissions_per_node=dict(sorted(retx.items(),

@@ -23,6 +23,7 @@ from rumorcast.distributed import (
     run_round_nocd,
     slot_count,
 )
+from rumorcast.fixtures import gen_random_udg
 from rumorcast.model import ModelError, NetworkGraph
 
 
@@ -85,7 +86,9 @@ def test_node_rng_is_process_stable():
     a = node_rng(7, "x").randint(1, 10 ** 6)
     b = node_rng(7, "x").randint(1, 10 ** 6)
     assert a == b
-    assert node_rng(7, "x").randint(1, 10 ** 6) != node_rng(8, "x").randint(1, 10 ** 6) or True
+    draws = [[rng.random() for _ in range(8)]
+             for rng in (node_rng(7, "x"), node_rng(8, "x"))]
+    assert draws[0] != draws[1]
 
 
 def test_cd_single_transmitter_succeeds_in_one_round():
@@ -395,3 +398,53 @@ def test_dist_metrics_exports(tmp_path):
                         "control_messages,collisions_heard,undelivered_count")
     assert lines[1] == "a,1,4,6,2,3,1"
     assert lines[2] == "b,0,4,6,2,3,1"
+
+
+def udg_instance():
+    g = gen_random_udg(40, 0.3, seed=4)
+    return g, greedy_cds(g), sorted(g.node_ids)[:5]
+
+
+@pytest.mark.parametrize("mode", ["cd", "nocd"])
+def test_untraced_run_builds_no_slot_record(monkeypatch, mode):
+    import rumorcast.distributed as distributed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SlotRecord built without a trace")
+
+    g, bb, sources = udg_instance()
+    cfg = SimConfig(slot_factor=0.3, mode=mode, seed=3)
+    want = run_distributed_multibroadcast(g, bb, sources, 2, cfg)
+    monkeypatch.setattr(distributed, "SlotRecord", refuse)
+    got = run_distributed_multibroadcast(g, bb, sources, 2, cfg)
+    assert got.to_dict() == want.to_dict()
+    assert got.collisions_heard > 0
+    with pytest.raises(AssertionError, match="without a trace"):
+        run_distributed_multibroadcast(g, bb, sources, 2, cfg,
+                                       trace=io.StringIO())
+
+
+@pytest.mark.parametrize("mode", ["cd", "nocd"])
+def test_streams_are_seeded_only_for_nodes_that_draw(monkeypatch, mode):
+    import rumorcast.distributed as distributed
+
+    seeded = []
+
+    def counting(seed, node_id):
+        seeded.append(node_id)
+        return node_rng(seed, node_id)
+
+    monkeypatch.setattr(distributed, "node_rng", counting)
+    # "hub" relays everything and "l3" is no source: under CD it only
+    # listens, under NoCD it acks the hub
+    g = star(4)
+    bb = greedy_cds(g)
+    buf = io.StringIO()
+    cfg = SimConfig(slot_factor=1.0, mode=mode, seed=8)
+    metrics = run_distributed_multibroadcast(g, bb, ["l0", "l1", "l2"], 1,
+                                             cfg, trace=buf)
+    assert metrics.delivered_everything
+    records = [json.loads(line) for line in buf.getvalue().splitlines()]
+    drew = {r["transmitter"] for r in records if r["kind"] in ("data", "ack")}
+    assert sorted(seeded) == sorted(drew)
+    assert ("l3" in seeded) == (mode == "nocd")

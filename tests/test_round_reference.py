@@ -1,0 +1,250 @@
+"""Bitmask slot rounds against the set-based rounds they replaced.
+
+The reference below is the earlier ``run_round_cd``/``run_round_nocd``
+with their helpers: each node holds a set of rumors and a random stream
+seeded up front, and every round builds its slot records as it goes.  On
+random symmetric graphs with random pending batches (some ``Batch``
+objects shared between senders), address lists and prior holdings, both
+run several consecutive rounds and must agree on the records, the
+outcome counts, every node's holdings, queue and address list, and the
+next draw of every node's stream.
+"""
+
+from collections import deque
+from dataclasses import dataclass, field
+
+from hypothesis import given, settings, strategies as st
+
+from rumorcast.central import Batch, Rumor
+from rumorcast.distributed import (DistributedError, SimConfig, SlotRecord,
+                                   init_states, node_rng, run_round_cd,
+                                   run_round_nocd, slot_count)
+from rumorcast.model import ModelError, NetworkGraph, hearing
+
+
+# --- the set-based reference -----------------------------------------------
+
+@dataclass
+class RefState:
+    held_rumors: set
+    rng_stream: object
+    pending: deque = field(default_factory=deque)
+    awaiting_ack: set = field(default_factory=set)
+
+
+@dataclass(frozen=True)
+class RefLog:
+    records: tuple
+    succeeded: frozenset
+    data_messages: int
+    control_messages: int
+    collisions_heard: int
+
+
+def ref_states(g, cfg):
+    return {u: RefState(set(), node_rng(cfg.seed, u)) for u in g.node_ids}
+
+
+def ref_audible(g, talking):
+    audible = hearing(g, talking)
+    for u in talking:
+        audible.pop(u, None)
+    return audible
+
+
+def ref_log_slot(g, records, round_index, slot, kind, talking, audible):
+    for u in talking:
+        reached = [v for v in g.adjacency[u] if v in audible]
+        ok = tuple(sorted(v for v in reached if len(audible[v]) == 1))
+        bad = tuple(sorted(v for v in reached if len(audible[v]) > 1))
+        records.append(SlotRecord(round_index, slot, u, kind, ok, bad))
+
+
+def ref_by_slot(slot_of):
+    talkers = {}
+    for u in sorted(slot_of):
+        talkers.setdefault(slot_of[u], []).append(u)
+    return dict(sorted(talkers.items()))
+
+
+def ref_data_half(g, states, slot_of, records, round_index):
+    got_data = set()
+    first_collision = {}
+    collisions_heard = 0
+    for s, talking in ref_by_slot(slot_of).items():
+        audible = ref_audible(g, talking)
+        for v, heard in audible.items():
+            if len(heard) == 1:
+                states[v].held_rumors.update(states[heard[0]].pending[0].rumors)
+                got_data.add(v)
+            else:
+                collisions_heard += 1
+                first_collision.setdefault(v, s)
+        ref_log_slot(g, records, round_index, s, "data", talking, audible)
+    return got_data, first_collision, collisions_heard
+
+
+def ref_open_round(g, states, transmitters, cfg, mode):
+    if cfg.mode != mode:
+        raise DistributedError(f"run_round_{mode} needs cfg.mode == '{mode}'")
+    senders = sorted(set(transmitters))
+    for u in senders:
+        if u not in g.adjacency:
+            raise ModelError(f"unknown transmitter {u!r}")
+        if not states[u].pending:
+            raise DistributedError(f"transmitter {u!r} has no batch to send")
+    half = slot_count(g, cfg)
+    return senders, half, {u: states[u].rng_stream.randint(1, half)
+                           for u in senders}
+
+
+def ref_round_cd(g, states, transmitters, cfg, *, round_index=1):
+    senders, half, slot_of = ref_open_round(g, states, transmitters, cfg,
+                                            "cd")
+    records = []
+    _, first_collision, collisions_heard = ref_data_half(
+        g, states, slot_of, records, round_index)
+
+    echoers = {v: half + first_collision[v] for v in first_collision
+               if v not in slot_of}
+    noisy = set()
+    for s, yelling in ref_by_slot(echoers).items():
+        audible = ref_audible(g, yelling)
+        collisions_heard += sum(1 for heard in audible.values()
+                                if len(heard) > 1)
+        noisy.update(audible)
+        ref_log_slot(g, records, round_index, s, "error", yelling, audible)
+
+    succeeded = set()
+    for u in senders:
+        if u not in noisy:
+            succeeded.add(u)
+            states[u].pending.popleft()
+    return RefLog(records=tuple(records), succeeded=frozenset(succeeded),
+                  data_messages=len(senders), control_messages=len(echoers),
+                  collisions_heard=collisions_heard)
+
+
+def ref_round_nocd(g, states, transmitters, cfg, *, round_index=1):
+    senders, half, slot_of = ref_open_round(g, states, transmitters, cfg,
+                                            "nocd")
+    for u in senders:
+        if not states[u].awaiting_ack:
+            raise DistributedError(f"transmitter {u!r} has nobody to address")
+        extra = states[u].awaiting_ack - set(g.adjacency[u])
+        if extra:
+            raise DistributedError(
+                f"transmitter {u!r} addresses non-neighbors "
+                f"{sorted(extra, key=str)}")
+    records = []
+    got_data, _, collisions_heard = ref_data_half(
+        g, states, slot_of, records, round_index)
+
+    ackers = sorted(v for v in got_data if v not in slot_of)
+    ack_slot = {v: half + states[v].rng_stream.randint(1, half)
+                for v in ackers}
+    listed_by = {v: [u for u in senders if v in states[u].awaiting_ack]
+                 for v in ackers}
+    sharing = ref_by_slot(ack_slot)
+    for v in ackers:
+        ok = []
+        bad = []
+        for u in listed_by[v]:
+            rivals = [z for z in sharing[ack_slot[v]]
+                      if z != v
+                      and (z in g.adjacency[v] or u in g.adjacency[z])]
+            if rivals:
+                bad.append(u)
+                collisions_heard += 1
+            elif set(states[u].pending[0].rumors) <= states[v].held_rumors:
+                ok.append(u)
+                states[u].awaiting_ack.discard(v)
+        records.append(SlotRecord(round_index, ack_slot[v], v, "ack",
+                                  tuple(sorted(ok)), tuple(sorted(bad))))
+
+    succeeded = set()
+    for u in senders:
+        if not states[u].awaiting_ack:
+            succeeded.add(u)
+            states[u].pending.popleft()
+    return RefLog(records=tuple(records), succeeded=frozenset(succeeded),
+                  data_messages=len(senders), control_messages=len(ackers),
+                  collisions_heard=collisions_heard)
+
+
+# --- random instances ------------------------------------------------------
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    adj = {u: set() for u in range(n)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                adj[u].add(v)
+                adj[v].add(u)
+    g = NetworkGraph.from_adjacency({u: sorted(vs) for u, vs in adj.items()})
+    pool = [Rumor(u, seq) for u in range(n) for seq in range(2)]
+    batches = [Batch(tuple(sorted(draw(st.sets(st.sampled_from(pool),
+                                               min_size=1, max_size=4)))))
+               for _ in range(draw(st.integers(1, 4)))]
+    cfg = SimConfig(slot_factor=draw(st.sampled_from([0.5, 1.0, 1.5, 3.0])),
+                    mode=draw(st.sampled_from(["cd", "nocd"])),
+                    seed=draw(st.integers(0, 2 ** 30)))
+    return g, pool, batches, cfg
+
+
+def load(draw, g, pool, batches, cfg, ref, new):
+    """Give both state maps the same random queues, lists and holdings."""
+    for u in g.node_ids:
+        if draw(st.integers(0, 3)) == 0:
+            held = draw(st.sets(st.sampled_from(pool)))
+            ref[u].held_rumors = set(held)
+            new[u].held_rumors = held
+        if not ref[u].pending and draw(st.booleans()):
+            queue = draw(st.lists(st.sampled_from(batches), min_size=1,
+                                  max_size=3))
+            ref[u].pending = deque(queue)
+            new[u].pending = deque(queue)
+        if (cfg.mode == "nocd" and ref[u].pending and g.adjacency[u]
+                and (not ref[u].awaiting_ack or draw(st.booleans()))):
+            audience = draw(st.sets(st.sampled_from(g.adjacency[u]),
+                                    min_size=1))
+            ref[u].awaiting_ack = set(audience)
+            new[u].awaiting_ack = set(audience)
+
+
+def same_nodes(g, ref, new):
+    for u in g.node_ids:
+        assert new[u].held_rumors == ref[u].held_rumors, u
+        assert list(new[u].pending) == list(ref[u].pending), u
+        assert new[u].awaiting_ack == ref[u].awaiting_ack, u
+
+
+@settings(max_examples=250, deadline=None)
+@given(instances(), st.data())
+def test_rounds_match_the_set_based_reference(instance, data):
+    g, pool, batches, cfg = instance
+    ref = ref_states(g, cfg)
+    new = init_states(g, cfg)
+    run_ref = ref_round_cd if cfg.mode == "cd" else ref_round_nocd
+    run_new = run_round_cd if cfg.mode == "cd" else run_round_nocd
+    for t in range(1, data.draw(st.integers(1, 6)) + 1):
+        load(data.draw, g, pool, batches, cfg, ref, new)
+        eligible = [u for u in g.node_ids if ref[u].pending
+                    and (cfg.mode == "cd" or ref[u].awaiting_ack)]
+        if not eligible:
+            continue
+        talkers = data.draw(st.sets(st.sampled_from(eligible), min_size=1))
+        want = run_ref(g, ref, talkers, cfg, round_index=t)
+        got = run_new(g, new, talkers, cfg, round_index=t)
+        assert ([r.to_json() for r in got.records]
+                == [r.to_json() for r in want.records])
+        assert got.succeeded == want.succeeded
+        assert got.data_messages == want.data_messages
+        assert got.control_messages == want.control_messages
+        assert got.collisions_heard == want.collisions_heard
+        same_nodes(g, ref, new)
+    for u in g.node_ids:
+        assert new[u].rng_stream.random() == ref[u].rng_stream.random(), u
+
