@@ -12,7 +12,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import (
     DisconnectedError,
@@ -105,36 +105,30 @@ class ClusterAssignment:
     cluster_of: Mapping[int | str, int]
     leaders: Mapping[int, int | str]
 
-    @property
-    def cluster_count(self) -> int:
-        return len(self.leaders)
-
 
 def _require_symmetric(g: NetworkGraph, what: str) -> None:
     if not g.symmetric:
         raise ModelError(f"{what} requires a symmetric network")
 
 
-def _covers(g: NetworkGraph, members: Iterable) -> bool:
-    covered = set(members)
-    for m in list(covered):
-        covered.update(g.adjacency[m])
-    return covered == set(g.node_ids)
+def _member_walk(g: NetworkGraph, group: set, root: int | str) -> dict:
+    """Breadth-first parent links from ``root`` (parent None) over the
+    subgraph ``group`` induces, keyed in visit order; members the walk
+    cannot reach are left out."""
+    parent: dict = {root: None}
+    order = [root]
+    for u in order:  # grows while iterated: a breadth-first walk
+        for v in g.adjacency[u]:
+            if v in group and v not in parent:
+                parent[v] = u
+                order.append(v)
+    return parent
 
 
 def _members_connected(g: NetworkGraph, members: set) -> bool:
     if not members:
         return False
-    start = next(iter(members))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in g.adjacency[u]:
-            if v in members and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen == members
+    return len(_member_walk(g, members, next(iter(members)))) == len(members)
 
 
 def build_arborescence(g: NetworkGraph, members: Sequence,
@@ -148,16 +142,7 @@ def build_arborescence(g: NetworkGraph, members: Sequence,
     group = set(members)
     if root not in group:
         raise BackboneError(f"root {root!r} is not a member")
-    parent: dict = {root: None}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if v in group and v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
+    parent = _member_walk(g, group, root)
     if len(parent) != len(group):
         missing = sorted(group - set(parent))[0]
         raise BackboneError(
@@ -182,10 +167,10 @@ def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
     if bb.root not in members:
         raise BackboneError(f"root {bb.root!r} is not a member")
     group = set(members)
-    if not _covers(g, group):
-        uncovered = sorted(set(g.node_ids) - group
-                           - {v for m in group for v in g.adjacency[m]})[0]
-        raise BackboneError(f"node {uncovered!r} is not dominated")
+    uncovered = set(g.node_ids).difference(
+        group, *(g.adjacency[m] for m in group))
+    if uncovered:
+        raise BackboneError(f"node {min(uncovered)!r} is not dominated")
     if not _members_connected(g, group):
         raise BackboneError("members do not induce a connected subgraph")
     if set(bb.parent) != group:

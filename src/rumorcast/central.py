@@ -23,15 +23,13 @@ when it is read.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .backbone import Backbone, validate_backbone
+from .backbone import Backbone, build_arborescence, validate_backbone
 from .model import ModelError, NetworkGraph, hearing
 
 
@@ -201,35 +199,25 @@ def broadcast_schedule(g: NetworkGraph, bb: Backbone,
     """Deliver one rumor from ``source`` to every node via the backbone.
 
     The rumor hops to the smallest reachable member if the source is not
-    one, then floods member to member in breadth-first waves; every member
-    transmits exactly once, which covers all dominated nodes.
+    one, then floods member to member in breadth-first waves from that
+    entry: every member transmits exactly once, one round after the
+    members a hop nearer the entry, which covers all dominated nodes.
     """
     validate_backbone(g, bb)
     if source not in g.adjacency:
         raise ModelError(f"unknown source {source!r}")
-    rumor = Rumor(source, 0)
-    members = set(bb.members)
+    batch = Batch((Rumor(source, 0),))
     by_round: dict[int, list[Transmission]] = {}
     t0 = 0
     entry = _attach_member(g, bb, source)
     if entry != source:
-        by_round[1] = [Transmission(source, _batch([rumor]))]
+        by_round[1] = [Transmission(source, batch)]
         t0 = 1
-    wave = [entry]
-    seen = {entry}
-    depth = 0
-    while wave:
-        for u in wave:
-            by_round.setdefault(t0 + depth + 1, []).append(
-                Transmission(u, _batch([rumor])))
-        nxt = []
-        for u in wave:
-            for v in g.adjacency[u]:
-                if v in members and v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        wave = sorted(nxt)
-        depth += 1
+    flood = Backbone(members=bb.members, root=entry,
+                     parent=build_arborescence(g, bb.members, entry))
+    for u, depth in flood.depth.items():
+        by_round.setdefault(t0 + depth + 1, []).append(
+            Transmission(u, batch))
     return _rounds_from_map(by_round)
 
 
@@ -486,41 +474,3 @@ def schedule_to_dict(sched: Schedule) -> dict:
                                     for r in tx.batch.rumors]}
                         for tx in rnd]
                        for rnd in sched.rounds]}
-
-
-def schedule_from_dict(data: Mapping) -> Schedule:
-    try:
-        rounds = tuple(
-            tuple(Transmission(tx["sender"],
-                               _batch(Rumor(r["source"], int(r["seq"]))
-                                      for r in tx["rumors"]))
-                  for tx in rnd)
-            for rnd in data["rounds"])
-    except (KeyError, TypeError) as exc:
-        raise ScheduleError(f"malformed schedule description: {exc}") from exc
-    return Schedule(rounds=rounds)
-
-
-def save_schedule(sched: Schedule, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schedule_to_dict(sched), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_schedule(path: str) -> Schedule:
-    with open(path, encoding="utf-8") as fh:
-        return schedule_from_dict(json.load(fh))
-
-
-def schedule_to_csv(g: NetworkGraph, sched: Schedule, path: str) -> None:
-    """Write one row per transmission: round, sender, batch, audience size."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "sender", "batch_rumors",
-                         "recipients_reached"])
-        for t, rnd in enumerate(sched.rounds, start=1):
-            for tx in rnd:
-                rumors = "|".join(f"{r.source}:{r.seq}"
-                                  for r in tx.batch.rumors)
-                writer.writerow([t, tx.sender, rumors,
-                                 len(g.adjacency[tx.sender])])

@@ -33,7 +33,6 @@ deaf for that slot.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import random
@@ -230,21 +229,6 @@ class DistMetrics:
                             for node, r in sorted(self.undelivered, key=str)],
             "collisions_heard": self.collisions_heard,
         }
-
-
-def dist_metrics_to_csv(metrics: DistMetrics, path: str) -> None:
-    """One row per transmitting node, with run totals repeated."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "retransmissions", "rounds",
-                         "data_messages", "control_messages",
-                         "collisions_heard", "undelivered_count"])
-        for node in sorted(metrics.retransmissions_per_node, key=str):
-            writer.writerow([node, metrics.retransmissions_per_node[node],
-                             metrics.rounds, metrics.data_messages,
-                             metrics.control_messages,
-                             metrics.collisions_heard,
-                             len(metrics.undelivered)])
 
 
 def _audible(g: NetworkGraph, talking: list) -> dict:

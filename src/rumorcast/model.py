@@ -419,9 +419,15 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
         if "nodes" in data or "obstacles" in data:
             raise ModelError(
                 "explicit adjacency excludes nodes and obstacles")
+        adj: dict = {}
         try:
-            adj = {u: set(outs) for u, outs in data["adjacency"]}
+            for u, outs in data["adjacency"]:
+                if u in adj:
+                    raise ModelError(f"duplicate node id {u!r}")
+                adj[u] = set(outs)
             alpha = float(data.get("alpha", 2.0))
+        except ModelError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ModelError(
                 f"malformed network description: {exc}") from exc
@@ -434,7 +440,9 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
                               float(o["x2"]), float(o["y2"]))
                      for o in data.get("obstacles", [])]
         alpha = float(data.get("alpha", 2.0))
-        strict = bool(data.get("strict", False))
+        strict = data.get("strict", False)
+        if not isinstance(strict, bool):
+            raise ModelError(f"strict must be true or false, got {strict!r}")
         return build_network(nodes, obstacles, alpha, strict=strict)
     except (KeyError, TypeError) as exc:  # also a list or object as id
         raise ModelError(f"malformed network description: {exc}") from exc

@@ -23,9 +23,10 @@ enforce small-instance guards and a visited-state budget.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 
-from .central import Batch, Rumor, Schedule, Transmission
+from .central import Batch, Rumor, Schedule, Transmission, rumors_in
 from .model import NetworkGraph
 
 MAX_SEARCH_NODES = 12
@@ -85,9 +86,81 @@ def _maximal_batches(mask: int, cap: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mask_to_batch(mask: int, rlist: Sequence[Rumor]) -> Batch:
-    # rlist is sorted and unique, so the Batch invariant holds for free.
-    return Batch(tuple(r for b, r in enumerate(rlist) if mask >> b & 1))
+def _search(g: NetworkGraph, rumors: Sequence[Rumor], compression: int,
+            state_budget: int, what: str, moves) -> Schedule:
+    """Breadth-first search over holding states for a full delivery.
+
+    ``moves(state, out_idx, compression)`` yields each move out of a
+    state as a tuple of simultaneous ``(sender index, batch mask)``
+    sends; the witness spends one round per move.  ``what`` names the
+    search in its budget error.
+    """
+    ids, rlist, out_idx, start, full = _prepare(g, rumors, compression)
+    if all(m == full for m in start):
+        return Schedule(rounds=())
+    parent: dict = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for st in frontier:
+            for sends in moves(st, out_idx, compression):
+                new = list(st)
+                for u, bm in sends:
+                    for v in out_idx[u]:
+                        new[v] |= bm
+                tnew = tuple(new)
+                if tnew in parent:
+                    continue
+                parent[tnew] = (st, sends)
+                if len(parent) > state_budget:
+                    raise SearchError(f"{what} search exceeded its "
+                                      f"state budget {state_budget}")
+                if all(m == full for m in tnew):
+                    return _witness(parent, tnew, ids, rlist)
+                nxt.append(tnew)
+        frontier = nxt
+    raise SearchError("no schedule can deliver every rumor to every node")
+
+
+def _witness(parent: dict, state, ids, rlist) -> Schedule:
+    # rlist is sorted and unique, so a decoded Batch's invariant holds for free
+    rounds = []
+    while parent[state] is not None:
+        state, sends = parent[state]
+        rounds.append(tuple(
+            Transmission(ids[u], Batch(tuple(rumors_in(rlist, bm))))
+            for u, bm in sends))
+    rounds.reverse()
+    return Schedule(rounds=tuple(rounds))
+
+
+def _useful_batches(st: tuple, out_idx, compression: int):
+    """Each sender index with its maximal batches that teach some
+    out-neighbor something, for senders that have any."""
+    for u, outs in enumerate(out_idx):
+        useful = [bm for bm in _maximal_batches(st[u], compression)
+                  if any(bm & ~st[v] for v in outs)]
+        if useful:
+            yield u, useful
+
+
+def _single_sends(st: tuple, out_idx, compression: int):
+    for u, useful in _useful_batches(st, out_idx, compression):
+        for bm in useful:
+            yield ((u, bm),)
+
+
+def _joint_sends(st: tuple, out_idx, compression: int):
+    options = list(_useful_batches(st, out_idx, compression))
+    if not options:
+        return
+    width = math.prod(len(choices) for _, choices in options)
+    if width > JOINT_BRANCH_CAP:
+        raise SearchError(
+            f"round branching {width} exceeds cap {JOINT_BRANCH_CAP}")
+    senders = tuple(u for u, _ in options)
+    for combo in itertools.product(*(c for _, c in options)):
+        yield tuple(zip(senders, combo))
 
 
 def min_message_schedule(g: NetworkGraph, rumors: Sequence[Rumor],
@@ -99,44 +172,8 @@ def min_message_schedule(g: NetworkGraph, rumors: Sequence[Rumor],
     optimal, callers must not read timing out of the witness.  Raises
     SearchError when some node can never receive some rumor.
     """
-    ids, rlist, out_idx, start, full = _prepare(g, rumors, compression)
-    if all(m == full for m in start):
-        return Schedule(rounds=())
-    parent: dict = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            for u, outs in enumerate(out_idx):
-                if not st[u] or not outs:
-                    continue
-                for bm in _maximal_batches(st[u], compression):
-                    if not any(bm & ~st[v] for v in outs):
-                        continue
-                    new = list(st)
-                    for v in outs:
-                        new[v] |= bm
-                    tnew = tuple(new)
-                    if tnew in parent:
-                        continue
-                    parent[tnew] = (st, u, bm)
-                    if len(parent) > state_budget:
-                        raise SearchError("message search exceeded its "
-                                          f"state budget {state_budget}")
-                    if all(m == full for m in tnew):
-                        return _serial_witness(parent, tnew, ids, rlist)
-                    nxt.append(tnew)
-        frontier = nxt
-    raise SearchError("no schedule can deliver every rumor to every node")
-
-
-def _serial_witness(parent: dict, state, ids, rlist) -> Schedule:
-    moves = []
-    while parent[state] is not None:
-        state, u, bm = parent[state]
-        moves.append(Transmission(ids[u], _mask_to_batch(bm, rlist)))
-    moves.reverse()
-    return Schedule(rounds=tuple((tx,) for tx in moves))
+    return _search(g, rumors, compression, state_budget, "message",
+                   _single_sends)
 
 
 def min_makespan_schedule(g: NetworkGraph, rumors: Sequence[Rumor],
@@ -147,56 +184,5 @@ def min_makespan_schedule(g: NetworkGraph, rumors: Sequence[Rumor],
     Message count in the witness is incidental: every node that can still
     teach a neighbor something transmits every round.
     """
-    ids, rlist, out_idx, start, full = _prepare(g, rumors, compression)
-    if all(m == full for m in start):
-        return Schedule(rounds=())
-    parent: dict = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            options = []
-            for u, outs in enumerate(out_idx):
-                if not st[u] or not outs:
-                    continue
-                useful = [bm for bm in _maximal_batches(st[u], compression)
-                          if any(bm & ~st[v] for v in outs)]
-                if useful:
-                    options.append((u, useful))
-            if not options:
-                continue
-            width = 1
-            for _, choices in options:
-                width *= len(choices)
-            if width > JOINT_BRANCH_CAP:
-                raise SearchError(
-                    f"round branching {width} exceeds cap {JOINT_BRANCH_CAP}")
-            senders = tuple(u for u, _ in options)
-            for combo in itertools.product(*(c for _, c in options)):
-                new = list(st)
-                for u, bm in zip(senders, combo):
-                    for v in out_idx[u]:
-                        new[v] |= bm
-                tnew = tuple(new)
-                if tnew in parent:
-                    continue
-                parent[tnew] = (st, senders, combo)
-                if len(parent) > state_budget:
-                    raise SearchError("round search exceeded its "
-                                      f"state budget {state_budget}")
-                if all(m == full for m in tnew):
-                    return _round_witness(parent, tnew, ids, rlist)
-                nxt.append(tnew)
-        frontier = nxt
-    raise SearchError("no schedule can deliver every rumor to every node")
-
-
-def _round_witness(parent: dict, state, ids, rlist) -> Schedule:
-    rounds = []
-    while parent[state] is not None:
-        state, senders, combo = parent[state]
-        rounds.append(tuple(
-            Transmission(ids[u], _mask_to_batch(bm, rlist))
-            for u, bm in zip(senders, combo)))
-    rounds.reverse()
-    return Schedule(rounds=tuple(rounds))
+    return _search(g, rumors, compression, state_budget, "round",
+                   _joint_sends)

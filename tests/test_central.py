@@ -16,12 +16,9 @@ from rumorcast.central import (
     ScheduleError,
     Transmission,
     broadcast_schedule,
-    load_schedule,
     make_collision_free,
     multibroadcast_schedule,
     plan_multibroadcast,
-    save_schedule,
-    schedule_to_csv,
     simulate_schedule,
 )
 
@@ -334,28 +331,6 @@ def test_broadcast_reaches_every_node(g, data):
     metrics = simulate_schedule(g, sched)
     assert metrics.nodes_holding(Rumor(source, 0)) == set(g.node_ids)
     assert metrics.messages <= bb.size + 1
-
-
-# --- serialization ---------------------------------------------------------
-
-def test_schedule_json_round_trip(tmp_path):
-    g, bb = path4()
-    sched = multibroadcast_schedule(g, bb, ["a", "d"], compression=1)
-    path = tmp_path / "sched.json"
-    save_schedule(sched, str(path))
-    assert load_schedule(str(path)) == sched
-
-
-def test_schedule_csv_rows(tmp_path):
-    g, bb = path4()
-    sched = broadcast_schedule(g, bb, "a")
-    path = tmp_path / "sched.csv"
-    schedule_to_csv(g, sched, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "round,sender,batch_rumors,recipients_reached"
-    assert lines[1] == "1,a,a:0,1"
-    assert lines[2] == "2,b,a:0,2"
-    assert lines[3] == "3,c,a:0,2"
 
 
 def test_run_experiment_never_builds_the_delivery_view(monkeypatch):

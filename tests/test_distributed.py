@@ -15,7 +15,6 @@ from rumorcast.distributed import (
     DistributedError,
     NodeState,
     SimConfig,
-    dist_metrics_to_csv,
     init_states,
     node_rng,
     run_distributed_multibroadcast,
@@ -383,7 +382,7 @@ def test_multibroadcast_nocd_end_to_end():
     assert metrics.control_messages > 0
 
 
-def test_dist_metrics_exports(tmp_path):
+def test_dist_metrics_exports():
     metrics = DistMetrics(rounds=4, data_messages=6, control_messages=2,
                           retransmissions_per_node={"a": 1, "b": 0},
                           undelivered=frozenset({("c", Rumor("a", 0))}),
@@ -391,13 +390,6 @@ def test_dist_metrics_exports(tmp_path):
     as_dict = metrics.to_dict()
     json.dumps(as_dict)
     assert as_dict["undelivered"] == [["c", {"source": "a", "seq": 0}]]
-    out = tmp_path / "dist.csv"
-    dist_metrics_to_csv(metrics, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == ("node,retransmissions,rounds,data_messages,"
-                        "control_messages,collisions_heard,undelivered_count")
-    assert lines[1] == "a,1,4,6,2,3,1"
-    assert lines[2] == "b,0,4,6,2,3,1"
 
 
 def udg_instance():

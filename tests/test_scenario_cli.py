@@ -312,3 +312,34 @@ def test_cli_integral_float_compression_loads(tmp_path, capsys):
     assert main(["validate", "--scenario", str(spath)]) == 0
     assert "c=2," in capsys.readouterr().out
     assert scenario_from_dict(data).compression == 2
+
+
+def _validate_network(tmp_path, capsys, network, sources):
+    """Exit code and stderr of ``validate`` on a scenario over ``network``."""
+    spath = tmp_path / "net.json"
+    spath.write_text(json.dumps({"name": "net", "network": network,
+                                 "sources": sources, "c": 1}))
+    capsys.readouterr()
+    code = main(["validate", "--scenario", str(spath)])
+    return code, capsys.readouterr().err
+
+
+def test_cli_duplicate_adjacency_row_exits_2(tmp_path, capsys):
+    # two rows for node 0: neither may silently replace the other
+    network = {"adjacency": [[0, [1]], [0, [2]], [1, [0]], [2, [0]]]}
+    code, err = _validate_network(tmp_path, capsys, network, [0])
+    assert code == 2
+    assert err == "error: duplicate node id 0\n"
+
+
+@pytest.mark.parametrize("strict", ["false", 0, None])
+def test_cli_non_boolean_strict_exits_2(tmp_path, capsys, strict):
+    # the nodes sit exactly one radius apart, so only strict mode cuts them
+    nodes = [{"id": i, "x": float(i), "y": 0.0, "power": 1.0} for i in (0, 1)]
+    network = {"nodes": nodes, "strict": strict}
+    code, err = _validate_network(tmp_path, capsys, network, [0])
+    assert code == 2
+    assert err.startswith("error: ") and "strict" in err
+    network["strict"] = False
+    assert _validate_network(tmp_path, capsys, network, [0]) == (0, "")
+    assert main(["run", "--scenario", str(tmp_path / "net.json")]) == 0
