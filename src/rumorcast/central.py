@@ -5,8 +5,11 @@ transmissions (sender plus a batch of rumors).  A batch counts as one
 message regardless of how many rumors it carries, up to the compression
 factor.  The model is an abstract broadcast medium: every out-neighbor of a
 sender hears the batch, a node may send and receive in the same round, and
-two senders sharing an out-neighbor interfere at that common receiver:
-``model.hearing`` lists, per receiver, the senders of a round that reach it.
+two senders sharing an out-neighbor interfere at that common receiver.
+Interference is tested bit-parallel: the graph caches one reach mask per
+node (its out-neighbors, one bit per node), ``model.jammed`` folds a
+round's reach masks into the mask of listeners reached twice, and
+``make_collision_free`` keeps each sub-round's listeners as one mask.
 
 Multi-broadcast is planned once by ``plan_multibroadcast``: the collection
 tree, subtree loads, member depths, pruned distribution senders and fixed
@@ -17,8 +20,10 @@ distributed simulator runs the same ``Plan`` with slotted rounds.
 ``simulate_schedule`` indexes the schedule's rumors densely with a
 ``RumorIndex`` (which the distributed simulator uses too) and holds each
 node's rumors as one int bitmask; ``Metrics`` keeps the final masks and a
-log of first arrivals, and builds its per-rumor ``delivery_time`` view only
-when it is read.
+log of the receptions that brought something new, each holding the
+received batch's shared mask, and builds its per-rumor ``delivery_time``
+view only when it is read.  The collection heap orders rumors by their
+int rank in sorted order, not by comparing ``Rumor`` objects.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .backbone import Backbone, build_arborescence, validate_backbone
-from .model import ModelError, NetworkGraph, hearing
+from .model import ModelError, NetworkGraph, jammed
 
 
 class ScheduleError(ValueError):
@@ -134,11 +139,14 @@ class Metrics:
 
     Holdings are int bitmasks over ``rumors``, the schedule's rumors in
     order of first appearance: bit i of ``held[v]`` is set when node v
-    actually holds ``rumors[i]`` at the end.  ``arrivals`` logs each
-    ``(round, node, newly held mask)`` in execution order, the sources at
-    round 0 first.  ``delivery_time`` maps each rumor to its actual holders
-    and the round each first held it; it is rebuilt from ``arrivals`` on
-    first use and then cached.
+    actually holds ``rumors[i]`` at the end.  ``arrivals`` logs, in
+    execution order, each ``(round, node, mask)`` reception that brought
+    the node at least one rumor, the sources at round 0 first; the mask is
+    the whole received batch's, one int object shared by every entry of
+    that batch, so it may hold rumors the node already had.
+    ``delivery_time`` maps each rumor to its actual holders and the round
+    each first held it; it is rebuilt on first use by replaying
+    ``arrivals`` against a running mask per node, and then cached.
     """
 
     messages: int
@@ -151,8 +159,11 @@ class Metrics:
     @cached_property
     def delivery_time(self) -> Mapping[Rumor, Mapping[int | str, int]]:
         delivery: dict[Rumor, dict] = {r: {} for r in self.rumors}
+        have: dict = {}
         for t, v, mask in self.arrivals:
-            for r in rumors_in(self.rumors, mask):
+            h = have.get(v, 0)
+            have[v] = h | mask
+            for r in rumors_in(self.rumors, mask & ~h):
                 delivery[r][v] = t
         return delivery
 
@@ -169,10 +180,6 @@ class Metrics:
                 return False
             want |= 1 << index[r]
         return all(mask & want == want for mask in self.held.values())
-
-
-def _batch(rumors: Iterable[Rumor]) -> Batch:
-    return Batch(tuple(sorted(set(rumors))))
 
 
 def _rounds_from_map(by_round: Mapping[int, list[Transmission]]) -> Schedule:
@@ -273,15 +280,21 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
     """
     members = set(bb.members)
     rumors = tuple(Rumor(s, i) for i, s in enumerate(sources))
+    # own and load hold ranks in sorted rumor order, so sorting them
+    # compares ints, not Rumor dataclasses
+    ordered = sorted(rumors)
+    rank = [0] * len(rumors)
+    for k, r in enumerate(ordered):
+        rank[r.seq] = k
     parent: dict = dict(bb.parent)
     own: dict = {u: [] for u in members}
     for r in rumors:
         if r.source not in own:
             own[r.source] = []
             parent[r.source] = _attach_member(g, bb, r.source)
-        own[r.source].append(r)
+        own[r.source].append(rank[r.seq])
 
-    load = {u: list(rs) for u, rs in own.items()}
+    load = {u: list(ks) for u, ks in own.items()}
     for u in reversed([*bb.depth, *(u for u in own if u not in members)]):
         if u != bb.root:
             load[parent[u]].extend(load[u])
@@ -305,10 +318,13 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
             cover[v] -= 1
         live_kids[bb.parent[m]] -= 1
 
+    def unrank(ks: list[int]) -> tuple[Rumor, ...]:
+        return tuple(ordered[k] for k in sorted(ks))
+
     return Plan(root=bb.root, compression=compression, rumors=rumors,
                 parent=parent,
-                own={u: tuple(sorted(rs)) for u, rs in own.items()},
-                load={u: tuple(sorted(rs)) for u, rs in load.items()},
+                own={u: unrank(ks) for u, ks in own.items()},
+                load={u: unrank(ks) for u, ks in load.items()},
                 depth=bb.depth, senders=frozenset(senders),
                 chunks=_chunked(rumors, compression))
 
@@ -340,16 +356,20 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
     validate_backbone(g, bb)
     plan = plan_multibroadcast(g, bb, sources, c)
 
-    # collection, leaves first: inbox[u] holds (ready round, rumor) pairs,
-    # own rumors at round 0 and each child batch at the round it was sent
-    inbox = {u: [(0, r) for r in rs] for u, rs in plan.own.items()}
+    # collection, leaves first: inbox[u] holds (ready round, rank) pairs,
+    # a rank being the rumor's place in the root's load, which is every
+    # rumor sorted; own rumors are ready at round 0 and each child batch
+    # at the round it was sent
+    ordered = plan.load[plan.root]
+    rank = {r: k for k, r in enumerate(ordered)}
+    inbox = {u: [(0, rank[r]) for r in rs] for u, rs in plan.own.items()}
     outsiders = (u for u in plan.own if u not in plan.depth)
     by_round: dict[int, list[Transmission]] = {}
     for u in reversed([*plan.depth, *outsiders]):
         if u == plan.root:
             continue
         arrivals = sorted(inbox.pop(u), key=itemgetter(0))
-        backlog: list[Rumor] = []
+        backlog: list[int] = []
         i, now = 0, 1
         while i < len(arrivals) or backlog:
             while i < len(arrivals) and arrivals[i][0] < now:
@@ -358,9 +378,9 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
             if len(backlog) >= c or (i == len(arrivals) and backlog):
                 batch = [heappop(backlog)
                          for _ in range(min(c, len(backlog)))]
-                by_round.setdefault(now, []).append(
-                    Transmission(u, Batch(tuple(batch))))
-                inbox[plan.parent[u]].extend((now, r) for r in batch)
+                by_round.setdefault(now, []).append(Transmission(
+                    u, Batch(tuple(ordered[k] for k in batch))))
+                inbox[plan.parent[u]].extend((now, k) for k in batch)
                 now += 1
             else:  # nothing to send until the next arrival is usable
                 now = arrivals[i][0] + 1
@@ -383,22 +403,21 @@ def make_collision_free(g: NetworkGraph, sched: Schedule) -> Schedule:
     preserved; the round count grows by at most the largest interference
     set size (and never shrinks a conflict-free schedule).
     """
+    reach = g.reach
     out_rounds: list[tuple[Transmission, ...]] = []
     for rnd in sched.rounds:
         groups: list[list[Transmission]] = []
-        group_cover: list[set] = []
+        covers: list[int] = []  # node mask of each group's listeners
         for tx in sorted(rnd, key=lambda tx: tx.sender):
-            reach = set(g.adjacency[tx.sender])
-            placed = False
-            for i, cover in enumerate(group_cover):
-                if not (cover & reach):
+            m = reach[tx.sender]
+            for i, cover in enumerate(covers):
+                if not cover & m:
                     groups[i].append(tx)
-                    cover |= reach
-                    placed = True
+                    covers[i] = cover | m
                     break
-            if not placed:
+            else:
                 groups.append([tx])
-                group_cover.append(set(reach))
+                covers.append(m)
         out_rounds.extend(tuple(grp) for grp in groups)
     return Schedule(rounds=tuple(out_rounds))
 
@@ -414,53 +433,63 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
     reception counts as one collision (losses are counted, not propagated).
     A rumor's source holds it at round 0.
 
-    Each rumor gets a dense index and each node's holdings, planned and
-    actual, are one int bitmask; each distinct ``Batch`` object's mask is
-    computed once, so a reception is a few int operations whatever the
-    batch size.  See ``Metrics`` for what is kept.
+    Each rumor gets a dense index and each distinct ``Batch`` object's mask
+    is computed once.  A node's actual holdings are one int bitmask, and
+    ``lost`` keeps the rumors only jammed receptions brought it, so its
+    planned holdings are ``held | lost``.  A round's jammed listeners are
+    one node mask (``model.jammed``); only a sender whose reach meets it
+    tests its listeners one by one, and after ``make_collision_free`` none
+    does.  A clean reception that brings something new logs the batch's
+    shared mask.  See ``Metrics`` for what is kept.
     """
     index = RumorIndex()
     masks = [[index.batch_mask(tx.batch) for tx in rnd]
              for rnd in sched.rounds]
     rumors = tuple(index.rumors)
-    plan_hold = dict.fromkeys(g.node_ids, 0)
+    held = dict.fromkeys(g.node_ids, 0)
     arrivals = []
     for i, r in enumerate(rumors):
         if r.source not in g.adjacency:
             raise ScheduleError(f"rumor source {r.source!r} unknown")
-        plan_hold[r.source] |= 1 << i
+        held[r.source] |= 1 << i
         arrivals.append((0, r.source, 1 << i))
-    held = dict(plan_hold)
+    lost: dict = {}
 
+    adjacency = g.adjacency
     collisions = 0
     for t, (rnd, row) in enumerate(zip(sched.rounds, masks), start=1):
-        seen_senders = set()
+        seen = set()
         for tx, b in zip(rnd, row):
-            if tx.sender not in g.adjacency:
-                raise ScheduleError(f"round {t}: unknown sender {tx.sender!r}")
-            if tx.sender in seen_senders:
-                raise ScheduleError(
-                    f"round {t}: sender {tx.sender!r} transmits twice")
-            seen_senders.add(tx.sender)
-            lacking = b & ~plan_hold[tx.sender]
+            s = tx.sender
+            if s not in adjacency:
+                raise ScheduleError(f"round {t}: unknown sender {s!r}")
+            if s in seen:
+                raise ScheduleError(f"round {t}: sender {s!r} transmits twice")
+            seen.add(s)
+            lacking = b & ~(held[s] | lost.get(s, 0))
             if lacking:
                 missing = next(r for r in tx.batch.rumors
                                if lacking >> index.bit[r] & 1)
                 raise ScheduleError(
-                    f"round {t}: sender {tx.sender!r} does not hold "
-                    f"{missing}")
-        # receptions
-        heard = hearing(g, [tx.sender for tx in rnd]) if interference else {}
+                    f"round {t}: sender {s!r} does not hold {missing}")
+        jam = jammed(g, (tx.sender for tx in rnd)) if interference else 0
         for tx, b in zip(rnd, row):
-            for v in g.adjacency[tx.sender]:
-                if interference and len(heard[v]) > 1:
-                    collisions += 1
-                else:
-                    new = b & ~held[v]
-                    if new:
-                        held[v] |= new
-                        arrivals.append((t, v, new))
-                plan_hold[v] |= b
+            listeners = adjacency[tx.sender]
+            if jam and g.reach[tx.sender] & jam:
+                clean = []
+                for v in listeners:
+                    if jam >> g.node_index[v] & 1:
+                        collisions += 1
+                        lost[v] = lost.get(v, 0) | b
+                    else:
+                        clean.append(v)
+                listeners = clean
+            for v in listeners:
+                h = held[v]
+                got = h | b
+                if got != h:
+                    held[v] = got
+                    arrivals.append((t, v, b))
     return Metrics(messages=sched.message_count, makespan=sched.makespan,
                    collisions=collisions, rumors=rumors, held=held,
                    arrivals=tuple(arrivals))

@@ -5,9 +5,11 @@ A round spans 2m slots where m = ceil(slot_factor * max_degree).  Data goes
 out in the first half on a uniformly random slot per sender.  In the
 collision-detecting mode, listeners that heard garbage echo an error in the
 matching second-half slot and a sender only declares victory over a silent
-second half.  In the acknowledgement mode, each addressed listener that
-received the data picks a random second-half slot and acks; unacknowledged
-listeners stay on the sender's list for the next round.
+second half.  In the acknowledgement mode, every listener that received
+data cleanly, addressed or not, picks a random second-half slot and acks;
+an ack counts only at senders that address the acker, and addressed
+listeners whose ack did not land stay on the sender's list for the next
+round.
 
 Full runs execute the centralized module's multi-broadcast ``Plan`` stage
 by stage: non-member sources hand off, member depth bands forward their

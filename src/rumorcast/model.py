@@ -7,9 +7,11 @@ powers give asymmetric links.  When every node has the same power the graph
 is symmetric (a unit-disk graph scaled to that radius).
 
 A graph is fully described by its out-neighbor lists.  Reception is decided
-in one place, ``hearing``: in a slot or round, a listener hears every
-talker that reaches it, and it receives cleanly only when it hears exactly
-one.
+in one place: in a slot or round, a listener hears every talker that reaches
+it, and it receives cleanly only when it hears exactly one.  ``hearing``
+lists who hears whom; ``jammed`` gives, as one node mask (bit i for
+``node_ids[i]``), the listeners that hear two or more, from the reach masks
+cached on the graph.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ class NetworkGraph:
     automatically when all powers are equal (``uniform_power``).
 
     A graph is immutable after construction: ``node_ids``, ``symmetric``,
-    ``max_degree``, strong connectivity and the diameter are computed at
-    most once per graph and cached on it.
+    ``max_degree``, the reach masks, strong connectivity and the diameter
+    are computed at most once per graph and cached on it.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -115,6 +117,17 @@ class NetworkGraph:
     @cached_property
     def node_ids(self) -> tuple[int | str, ...]:
         return tuple(sorted(self.adjacency))
+
+    @cached_property
+    def node_index(self) -> Mapping[int | str, int]:
+        """Node id -> its bit position in node masks, in ``node_ids`` order."""
+        return {u: i for i, u in enumerate(self.node_ids)}
+
+    @cached_property
+    def reach(self) -> Mapping[int | str, int]:
+        """Node id -> the node mask of its out-neighbors, built on first
+        lookup, so only nodes that talk pay for one."""
+        return _ReachMasks(self)
 
     @property
     def uniform_power(self) -> bool:
@@ -190,6 +203,25 @@ class NetworkGraph:
             adj[u] = outs
         nodes = tuple(NodeSpec(i, 0.0, 0.0, 0.0) for i in sorted(adj))
         return cls(nodes=nodes, obstacles=(), alpha=alpha, adjacency=adj)
+
+
+class _ReachMasks(dict):
+    """A lazily filled ``NetworkGraph.reach``; an unknown id raises
+    KeyError, as a plain dict would."""
+
+    def __init__(self, g: NetworkGraph):
+        super().__init__()
+        self._adjacency = g.adjacency
+        self._index = g.node_index
+
+    def __missing__(self, u: int | str) -> int:
+        bits = [self._index[v] for v in self._adjacency[u]]
+        low = min(bits, default=0)
+        mask = 0
+        for i in bits:  # shift within the neighbors' span, then once
+            mask |= 1 << (i - low)
+        self[u] = mask = mask << low
+        return mask
 
 
 def build_network(nodes: Sequence[NodeSpec],
@@ -354,8 +386,8 @@ def is_strongly_connected(g: NetworkGraph) -> bool:
 def hearing(g: NetworkGraph, talkers: Iterable[int | str]) -> dict:
     """Listener -> the talkers that reach it, in talker order.
 
-    The one reception rule: a listener receives cleanly only when it hears
-    exactly one talker.  Built from the talkers' out-neighbor lists in
+    The reception rule, of which ``jammed`` is the mask form: a listener
+    receives cleanly only when it hears exactly one talker.  Built from the talkers' out-neighbor lists in
     O(sum of their out-degrees).  Talkers appear as listeners too; callers
     whose talkers are deaf drop them.
     """
@@ -364,6 +396,22 @@ def hearing(g: NetworkGraph, talkers: Iterable[int | str]) -> dict:
         for v in g.adjacency[u]:
             heard.setdefault(v, []).append(u)
     return heard
+
+
+def jammed(g: NetworkGraph, talkers: Iterable[int | str]) -> int:
+    """The mask of listeners that two or more talkers reach.
+
+    The reception rule of ``hearing`` as a node mask: a listener in the
+    mask is jammed, one reached but not in it hears exactly one talker.
+    One ``|=`` and one ``&`` of reach masks per talker.
+    """
+    reach = g.reach
+    once = twice = 0
+    for u in talkers:
+        m = reach[u]
+        twice |= once & m
+        once |= m
+    return twice
 
 
 def conflict_set(g: NetworkGraph, within: Iterable[int | str],
@@ -419,9 +467,20 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
         if "nodes" in data or "obstacles" in data:
             raise ModelError(
                 "explicit adjacency excludes nodes and obstacles")
+        rows = data["adjacency"]
+        if not isinstance(rows, (list, tuple)):
+            raise ModelError(
+                "adjacency must be a list of [id, [neighbors...]] pairs")
         adj: dict = {}
         try:
-            for u, outs in data["adjacency"]:
+            for row in rows:
+                if not (isinstance(row, (list, tuple)) and len(row) == 2):
+                    raise ModelError(f"adjacency row {row!r} is not an "
+                                     f"[id, [neighbors...]] pair")
+                u, outs = row
+                if not isinstance(outs, (list, tuple)):
+                    raise ModelError(
+                        f"neighbors of {u!r} must be a list, got {outs!r}")
                 if u in adj:
                     raise ModelError(f"duplicate node id {u!r}")
                 adj[u] = set(outs)

@@ -369,3 +369,35 @@ def test_holds_all_reads_the_masks():
     assert "delivery_time" not in metrics.__dict__
     assert metrics.nodes_holding(rb) == {"a", "b", "c"}
     assert metrics.nodes_holding(rc) == frozenset()
+
+
+def replay_delivery(g, sched, rumor):
+    """First round each node hears ``rumor``, reading the schedule alone;
+    every reception is clean, as in a collision-free schedule."""
+    times = {rumor.source: 0}
+    for t, rnd in enumerate(sched.rounds, start=1):
+        for tx in rnd:
+            if rumor in tx.batch.rumors:
+                assert tx.sender in times and times[tx.sender] < t
+                for v in g.adjacency[tx.sender]:
+                    times.setdefault(v, t)
+    return times
+
+
+def test_gossip_on_a_thousand_node_udg():
+    # every node a source: masks span many machine words, and the
+    # transform must leave no listener hearing two senders
+    from rumorcast.fixtures import gen_random_udg
+
+    n = 1000
+    g = gen_random_udg(n, math.sqrt(12 / (math.pi * n)), seed=3)
+    sources = list(g.node_ids)
+    sched = multibroadcast_schedule(g, greedy_cds(g), sources, 4)
+    safe = make_collision_free(g, sched)
+    metrics = simulate_schedule(g, safe, interference=True)
+    assert metrics.collisions == 0
+    assert metrics.messages == sched.message_count
+    rumors = [Rumor(s, i) for i, s in enumerate(sources)]
+    assert metrics.holds_all(rumors)
+    for r in (rumors[0], rumors[n // 2], rumors[-1]):
+        assert metrics.delivery_time[r] == replay_delivery(g, safe, r)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from rumorcast.backbone import Backbone, greedy_cds, validate_backbone
 from rumorcast.central import (
+    Batch,
     Transmission,
-    _batch,
     _rounds_from_map,
     broadcast_schedule,
     multibroadcast_schedule,
@@ -20,6 +20,10 @@ from rumorcast.central import (
     schedule_to_dict,
 )
 from rumorcast.model import NetworkGraph
+
+
+def _batch(rumors):
+    return Batch(tuple(sorted(set(rumors))))
 
 
 def ref_multibroadcast_schedule(g, bb, sources, c):

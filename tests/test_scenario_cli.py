@@ -332,6 +332,23 @@ def test_cli_duplicate_adjacency_row_exits_2(tmp_path, capsys):
     assert err == "error: duplicate node id 0\n"
 
 
+def test_cli_adjacency_object_exits_2(tmp_path, capsys):
+    # an object's keys are not [id, neighbors] pairs: "ab" is no a-b edge
+    network = {"adjacency": {"ab": 0, "ba": 0}}
+    code, err = _validate_network(tmp_path, capsys, network, ["a"])
+    assert code == 2
+    assert err == ("error: adjacency must be a list of "
+                   "[id, [neighbors...]] pairs\n")
+
+
+def test_cli_string_neighbor_list_exits_2(tmp_path, capsys):
+    # "yz" is one malformed neighbor list, not the neighbors y and z
+    network = {"adjacency": [["x", "yz"], ["y", ["x"]], ["z", ["x"]]]}
+    code, err = _validate_network(tmp_path, capsys, network, ["x"])
+    assert code == 2
+    assert err == "error: neighbors of 'x' must be a list, got 'yz'\n"
+
+
 @pytest.mark.parametrize("strict", ["false", 0, None])
 def test_cli_non_boolean_strict_exits_2(tmp_path, capsys, strict):
     # the nodes sit exactly one radius apart, so only strict mode cuts them

@@ -22,7 +22,6 @@ from rumorcast.central import (
     Schedule,
     Transmission,
     _attach_member,
-    _batch,
     _rounds_from_map,
     broadcast_schedule,
     schedule_to_dict,
@@ -30,6 +29,10 @@ from rumorcast.central import (
 from rumorcast.model import ModelError, NetworkGraph
 from rumorcast.search import (SearchError, _maximal_batches, _prepare,
                               min_makespan_schedule, min_message_schedule)
+
+
+def _batch(rumors):
+    return Batch(tuple(sorted(set(rumors))))
 
 
 def ref_mask_to_batch(mask, rlist):
