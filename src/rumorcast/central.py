@@ -17,13 +17,13 @@ chunks.  ``multibroadcast_schedule`` times that ``Plan``'s collection unit
 by unit, children before parents, and pipelines its chunks down; the
 distributed simulator runs the same ``Plan`` with slotted rounds.
 
-``simulate_schedule`` indexes the schedule's rumors densely with a
-``RumorIndex`` (which the distributed simulator uses too) and holds each
-node's rumors as one int bitmask; ``Metrics`` keeps the final masks and a
-log of the receptions that brought something new, each holding the
-received batch's shared mask, and builds its per-rumor ``delivery_time``
-view only when it is read.  The collection heap orders rumors by their
-int rank in sorted order, not by comparing ``Rumor`` objects.
+A ``Rumor`` is a named tuple, so the planner and the collection heap sort
+and compare rumors directly.  ``simulate_schedule`` indexes the schedule's
+rumors densely with a ``RumorIndex`` (which the distributed simulator uses
+too) and holds each node's rumors as one int bitmask; ``Metrics`` keeps the
+final masks and a log of the receptions that brought something new, each
+holding the received batch's mask, and builds its per-rumor
+``delivery_time`` view only when it is read.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .backbone import Backbone, build_arborescence, validate_backbone
 from .model import ModelError, NetworkGraph, jammed
@@ -42,9 +42,11 @@ class ScheduleError(ValueError):
     """A schedule is structurally invalid or violates causality."""
 
 
-@dataclass(frozen=True, order=True)
-class Rumor:
-    """One rumor, identified by its source node and a sequence number."""
+class Rumor(NamedTuple):
+    """One rumor, identified by its source node and a sequence number.
+
+    Rumors order, compare and hash as their ``(source, seq)`` pairs.
+    """
 
     source: int | str
     seq: int = 0
@@ -100,20 +102,17 @@ def rumors_in(rumors: Sequence[Rumor], mask: int) -> Iterator[Rumor]:
 
 
 class RumorIndex:
-    """A dense bit per rumor and a cached mask per ``Batch`` object.
+    """A dense bit per rumor.
 
     Rumors get bits in order of first registration; ``rumors[i]`` is the
-    rumor of bit i.  ``batch_mask`` computes each distinct batch's mask
-    once, keyed by ``id`` and keeping the batch alive so its id stays its
-    own.
+    rumor of bit i.
     """
 
-    __slots__ = ("rumors", "bit", "_batches")
+    __slots__ = ("rumors", "bit")
 
     def __init__(self):
         self.rumors: list[Rumor] = []
         self.bit: dict[Rumor, int] = {}
-        self._batches: dict[int, tuple[Batch, int]] = {}
 
     def mask(self, rumors: Iterable[Rumor]) -> int:
         """The mask of ``rumors``, registering the ones not yet indexed."""
@@ -126,12 +125,6 @@ class RumorIndex:
             mask |= 1 << i
         return mask
 
-    def batch_mask(self, batch: Batch) -> int:
-        hit = self._batches.get(id(batch))
-        if hit is None:
-            hit = self._batches[id(batch)] = (batch, self.mask(batch.rumors))
-        return hit[1]
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -143,7 +136,7 @@ class Metrics:
     execution order, each ``(round, node, mask)`` reception that brought
     the node at least one rumor, the sources at round 0 first; the mask is
     the whole received batch's, one int object shared by every entry of
-    that batch, so it may hold rumors the node already had.
+    that transmission, so it may hold rumors the node already had.
     ``delivery_time`` maps each rumor to its actual holders and the round
     each first held it; it is rebuilt on first use by replaying
     ``arrivals`` against a running mask per node, and then cached.
@@ -261,9 +254,9 @@ class Plan:
 
 
 def _chunked(rumors: Sequence[Rumor], size: int) -> tuple[Batch, ...]:
-    ordered = sorted(rumors)
-    return tuple(Batch(tuple(ordered[i:i + size]))
-                 for i in range(0, len(ordered), size))
+    """Sorted ``rumors`` cut into batches of at most ``size``."""
+    return tuple(Batch(tuple(rumors[i:i + size]))
+                 for i in range(0, len(rumors), size))
 
 
 def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
@@ -275,26 +268,20 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
     backbone's root-first ``depth`` order read backwards, so the backbone
     depth is not limited by recursion.  Distribution pruning repeatedly
     drops the largest-id leaf of the sender tree whose removal leaves every
-    node covered by a sender or a sender's neighbor.  The caller validates the backbone, the
-    sources and the compression factor.
+    node covered by a sender or a sender's neighbor.  The caller validates
+    the backbone, the sources and the compression factor.
     """
     members = set(bb.members)
     rumors = tuple(Rumor(s, i) for i, s in enumerate(sources))
-    # own and load hold ranks in sorted rumor order, so sorting them
-    # compares ints, not Rumor dataclasses
-    ordered = sorted(rumors)
-    rank = [0] * len(rumors)
-    for k, r in enumerate(ordered):
-        rank[r.seq] = k
     parent: dict = dict(bb.parent)
     own: dict = {u: [] for u in members}
     for r in rumors:
         if r.source not in own:
             own[r.source] = []
             parent[r.source] = _attach_member(g, bb, r.source)
-        own[r.source].append(rank[r.seq])
+        own[r.source].append(r)
 
-    load = {u: list(ks) for u, ks in own.items()}
+    load = {u: list(rs) for u, rs in own.items()}
     for u in reversed([*bb.depth, *(u for u in own if u not in members)]):
         if u != bb.root:
             load[parent[u]].extend(load[u])
@@ -318,15 +305,12 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
             cover[v] -= 1
         live_kids[bb.parent[m]] -= 1
 
-    def unrank(ks: list[int]) -> tuple[Rumor, ...]:
-        return tuple(ordered[k] for k in sorted(ks))
-
+    load = {u: tuple(sorted(rs)) for u, rs in load.items()}
     return Plan(root=bb.root, compression=compression, rumors=rumors,
                 parent=parent,
-                own={u: unrank(ks) for u, ks in own.items()},
-                load={u: unrank(ks) for u, ks in load.items()},
-                depth=bb.depth, senders=frozenset(senders),
-                chunks=_chunked(rumors, compression))
+                own={u: tuple(sorted(rs)) for u, rs in own.items()},
+                load=load, depth=bb.depth, senders=frozenset(senders),
+                chunks=_chunked(load[bb.root], compression))
 
 
 def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
@@ -356,20 +340,17 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
     validate_backbone(g, bb)
     plan = plan_multibroadcast(g, bb, sources, c)
 
-    # collection, leaves first: inbox[u] holds (ready round, rank) pairs,
-    # a rank being the rumor's place in the root's load, which is every
-    # rumor sorted; own rumors are ready at round 0 and each child batch
-    # at the round it was sent
-    ordered = plan.load[plan.root]
-    rank = {r: k for k, r in enumerate(ordered)}
-    inbox = {u: [(0, rank[r]) for r in rs] for u, rs in plan.own.items()}
+    # collection, leaves first: inbox[u] holds (ready round, rumor) pairs;
+    # own rumors are ready at round 0 and each child batch at the round it
+    # was sent
+    inbox = {u: [(0, r) for r in rs] for u, rs in plan.own.items()}
     outsiders = (u for u in plan.own if u not in plan.depth)
     by_round: dict[int, list[Transmission]] = {}
     for u in reversed([*plan.depth, *outsiders]):
         if u == plan.root:
             continue
         arrivals = sorted(inbox.pop(u), key=itemgetter(0))
-        backlog: list[int] = []
+        backlog: list[Rumor] = []
         i, now = 0, 1
         while i < len(arrivals) or backlog:
             while i < len(arrivals) and arrivals[i][0] < now:
@@ -378,9 +359,9 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
             if len(backlog) >= c or (i == len(arrivals) and backlog):
                 batch = [heappop(backlog)
                          for _ in range(min(c, len(backlog)))]
-                by_round.setdefault(now, []).append(Transmission(
-                    u, Batch(tuple(ordered[k] for k in batch))))
-                inbox[plan.parent[u]].extend((now, k) for k in batch)
+                by_round.setdefault(now, []).append(
+                    Transmission(u, Batch(tuple(batch))))
+                inbox[plan.parent[u]].extend((now, r) for r in batch)
                 now += 1
             else:  # nothing to send until the next arrival is usable
                 now = arrivals[i][0] + 1
@@ -433,17 +414,17 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
     reception counts as one collision (losses are counted, not propagated).
     A rumor's source holds it at round 0.
 
-    Each rumor gets a dense index and each distinct ``Batch`` object's mask
-    is computed once.  A node's actual holdings are one int bitmask, and
+    Each rumor gets a dense index and each transmission's batch one mask.
+    A node's actual holdings are one int bitmask, and
     ``lost`` keeps the rumors only jammed receptions brought it, so its
     planned holdings are ``held | lost``.  A round's jammed listeners are
     one node mask (``model.jammed``); only a sender whose reach meets it
     tests its listeners one by one, and after ``make_collision_free`` none
     does.  A clean reception that brings something new logs the batch's
-    shared mask.  See ``Metrics`` for what is kept.
+    mask.  See ``Metrics`` for what is kept.
     """
     index = RumorIndex()
-    masks = [[index.batch_mask(tx.batch) for tx in rnd]
+    masks = [[index.mask(tx.batch.rumors) for tx in rnd]
              for rnd in sched.rounds]
     rumors = tuple(index.rumors)
     held = dict.fromkeys(g.node_ids, 0)

@@ -106,9 +106,10 @@ class NodeState:
     ``held`` is a bitmask over ``index``, the ``RumorIndex`` that every
     state of one ``init_states`` call shares; ``held_rumors`` reads it as a
     frozenset and can be assigned any iterable of rumors.  ``pending``
-    queues the batches still to send and ``awaiting_ack`` the listeners
-    that must still confirm the front one.  ``rng_stream`` is
-    ``node_rng(seed, node)``, built on the node's first draw.
+    queues the batches still to send, whose masks ``front_mask`` reads off
+    the shared index, and ``awaiting_ack`` the listeners that must still
+    confirm the front one.  ``rng_stream`` is ``node_rng(seed, node)``,
+    built on the node's first draw.
     """
 
     __slots__ = ("index", "held", "pending", "awaiting_ack", "_seed",
@@ -139,7 +140,7 @@ class NodeState:
 
     def front_mask(self) -> int:
         """The mask of the batch at the front of ``pending``."""
-        return self.index.batch_mask(self.pending[0])
+        return self.index.mask(self.pending[0].rumors)
 
 
 def init_states(g: NetworkGraph, cfg: SimConfig) -> dict:

@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 GEOM_EPS = 1e-9
@@ -387,9 +388,9 @@ def hearing(g: NetworkGraph, talkers: Iterable[int | str]) -> dict:
     """Listener -> the talkers that reach it, in talker order.
 
     The reception rule, of which ``jammed`` is the mask form: a listener
-    receives cleanly only when it hears exactly one talker.  Built from the talkers' out-neighbor lists in
-    O(sum of their out-degrees).  Talkers appear as listeners too; callers
-    whose talkers are deaf drop them.
+    receives cleanly only when it hears exactly one talker.  Built from the
+    talkers' out-neighbor lists in O(sum of their out-degrees).  Talkers
+    appear as listeners too; callers whose talkers are deaf drop them.
     """
     heard: dict = {}
     for u in talkers:
@@ -460,6 +461,17 @@ def network_to_dict(g: NetworkGraph) -> dict:
     }
 
 
+def _check_ids(ids: Sequence) -> None:
+    """Node ids must be JSON integers or strings, all of one kind."""
+    kinds = set(map(type, ids))
+    if not kinds <= {int, str}:
+        bad = next(u for u in ids if type(u) not in (int, str))
+        raise ModelError(
+            f"node id {bad!r} is neither an integer nor a string")
+    if len(kinds) > 1:
+        raise ModelError("node ids mix integers and strings")
+
+
 def network_from_dict(data: Mapping) -> NetworkGraph:
     if not isinstance(data, Mapping):
         raise ModelError("network description must be an object")
@@ -481,6 +493,7 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
                 if not isinstance(outs, (list, tuple)):
                     raise ModelError(
                         f"neighbors of {u!r} must be a list, got {outs!r}")
+                _check_ids((u,))  # before True can pass for a duplicate 1
                 if u in adj:
                     raise ModelError(f"duplicate node id {u!r}")
                 adj[u] = set(outs)
@@ -490,11 +503,13 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
         except (TypeError, ValueError) as exc:
             raise ModelError(
                 f"malformed network description: {exc}") from exc
+        _check_ids([*adj, *chain.from_iterable(adj.values())])
         return NetworkGraph.from_adjacency(adj, alpha=alpha)
     try:
         nodes = [NodeSpec(n["id"], float(n["x"]), float(n["y"]),
                           float(n["power"]))
                  for n in data["nodes"]]
+        _check_ids([n.id for n in nodes])
         obstacles = [Obstacle(float(o["x1"]), float(o["y1"]),
                               float(o["x2"]), float(o["y2"]))
                      for o in data.get("obstacles", [])]
@@ -503,7 +518,7 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
         if not isinstance(strict, bool):
             raise ModelError(f"strict must be true or false, got {strict!r}")
         return build_network(nodes, obstacles, alpha, strict=strict)
-    except (KeyError, TypeError) as exc:  # also a list or object as id
+    except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed network description: {exc}") from exc
 
 

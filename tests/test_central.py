@@ -225,6 +225,31 @@ def test_empty_batches_cannot_be_built():
         Batch(())
 
 
+@pytest.mark.parametrize("rumors", [
+    (Rumor("b"), Rumor("a")),
+    (Rumor("a"), Rumor("a")),
+    (Rumor("a", 1), Rumor("b"), Rumor("a", 0)),
+])
+def test_batches_must_be_sorted_and_unique(rumors):
+    with pytest.raises(ScheduleError, match="sorted and unique"):
+        Batch(rumors)
+
+
+def test_rumor_orders_and_compares_as_its_pair():
+    pairs = [("b", 0), ("a", 2), ("a", 0), ("c", 1), ("a", 1)]
+    rumors = sorted(Rumor(*p) for p in pairs)
+    assert [(r.source, r.seq) for r in rumors] == sorted(pairs)
+    assert Rumor("a") == Rumor("a", 0)
+    assert Rumor("a") != Rumor("a", 1)
+    assert len({Rumor("a"), Rumor("a", 0)}) == 1
+    r = Rumor("a")
+    with pytest.raises(AttributeError):
+        r.seq = 1
+    with pytest.raises(AttributeError):
+        r.source = "b"
+    assert repr(r) == "Rumor(source='a', seq=0)"
+
+
 def test_interference_counts_losses_without_propagating_them():
     # a and c both talk to b in round 1; both transmissions are lost at b
     # but the schedule stays causally valid and later rounds still count

@@ -360,3 +360,19 @@ def test_cli_non_boolean_strict_exits_2(tmp_path, capsys, strict):
     network["strict"] = False
     assert _validate_network(tmp_path, capsys, network, [0]) == (0, "")
     assert main(["run", "--scenario", str(tmp_path / "net.json")]) == 0
+
+
+@pytest.mark.parametrize("network", [
+    {"adjacency": [[0, ["a"]], ["a", [0, 1]], [1, ["a"]]]},
+    {"adjacency": [[None, [0]], [0, [None]]]},
+    {"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "power": 1.0},
+               {"id": "a", "x": 0.5, "y": 0.0, "power": 1.0}]},
+], ids=["mixed-adjacency", "null-id", "mixed-nodes"])
+def test_cli_unorderable_node_ids_exit_2(tmp_path, capsys, network):
+    # ids that cannot be sorted together are a malformed file, not a crash
+    code, err = _validate_network(tmp_path, capsys, network, [0])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["run", "--scenario", str(tmp_path / "net.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
