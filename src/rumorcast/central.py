@@ -183,8 +183,8 @@ def _rounds_from_map(by_round: Mapping[int, list[Transmission]]) -> Schedule:
     return Schedule(rounds=tuple(rounds))
 
 
-def _attach_member(g: NetworkGraph, bb: Backbone, node: int | str) -> int | str:
-    members = set(bb.members)
+def _attach_member(g: NetworkGraph, members: set,
+                   node: int | str) -> int | str:
     if node in members:
         return node
     hooks = [v for v in g.adjacency[node] if v in members]
@@ -209,7 +209,7 @@ def broadcast_schedule(g: NetworkGraph, bb: Backbone,
     batch = Batch((Rumor(source, 0),))
     by_round: dict[int, list[Transmission]] = {}
     t0 = 0
-    entry = _attach_member(g, bb, source)
+    entry = _attach_member(g, set(bb.members), source)
     if entry != source:
         by_round[1] = [Transmission(source, batch)]
         t0 = 1
@@ -278,7 +278,7 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
     for r in rumors:
         if r.source not in own:
             own[r.source] = []
-            parent[r.source] = _attach_member(g, bb, r.source)
+            parent[r.source] = _attach_member(g, members, r.source)
         own[r.source].append(r)
 
     load = {u: list(rs) for u, rs in own.items()}

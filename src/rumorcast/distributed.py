@@ -28,9 +28,9 @@ the batch's cached mask.  A round keeps the raw slot and ack data it
 already computed and builds its ``SlotRecord``s only when they are read,
 which untraced runs never do.
 
-Who hears whom in a slot comes from ``model.hearing`` over the talkers'
-out-neighbor lists, minus the talkers themselves: a transmitting node is
-deaf for that slot.
+Reception in a slot follows ``model.jammed`` over the talkers' reach
+masks: a listener reached by two or more talkers is jammed, one reached by
+exactly one takes the data, and a transmitting node is deaf for that slot.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
 from .central import Plan, RumorIndex, plan_multibroadcast, rumors_in
-from .model import ModelError, NetworkGraph, hearing
+from .model import ModelError, NetworkGraph, jammed
 
 
 class DistributedError(ValueError):
@@ -173,11 +173,12 @@ class SlotRecord:
 class RoundLog:
     """What one simulated round did.
 
-    ``slots`` holds ``(kind, slot, talkers, audible)`` for each data or
-    error slot and ``acks`` holds ``(slot, acker, senders reached, senders
-    jammed)`` for each ack, both in trace order.  ``records``, the round's
-    ``SlotRecord``s, is built from them on first read and then cached, so
-    a run that never reads it builds none.
+    ``slots`` holds ``(kind, slot, talkers, deaf, jam)`` for each data or
+    error slot, with the two node masks of ``_slot``, and ``acks`` holds
+    ``(slot, acker, senders reached, senders jammed)`` for each ack, both
+    in trace order.  ``records``, the round's ``SlotRecord``s, is built
+    from them on first read and then cached, so a run that never reads it
+    builds none.
     """
 
     succeeded: frozenset
@@ -192,12 +193,14 @@ class RoundLog:
     @cached_property
     def records(self) -> tuple[SlotRecord, ...]:
         t = self.round_index
+        index = self.graph.node_index
         records = []
-        for kind, s, talking, audible in self.slots:
+        for kind, s, talking, deaf, jam in self.slots:
             for u in talking:
-                reached = [v for v in self.graph.adjacency[u] if v in audible]
-                ok = tuple(sorted(v for v in reached if len(audible[v]) == 1))
-                bad = tuple(sorted(v for v in reached if len(audible[v]) > 1))
+                reached = sorted(v for v in self.graph.adjacency[u]
+                                 if not deaf >> index[v] & 1)
+                ok = tuple(v for v in reached if not jam >> index[v] & 1)
+                bad = tuple(v for v in reached if jam >> index[v] & 1)
                 records.append(SlotRecord(t, s, u, kind, ok, bad))
         records.extend(SlotRecord(t, s, v, "ack", tuple(sorted(ok)),
                                   tuple(sorted(bad)))
@@ -234,12 +237,17 @@ class DistMetrics:
         }
 
 
-def _audible(g: NetworkGraph, talking: list) -> dict:
-    """Listener -> the talkers it hears in one slot; talkers are deaf."""
-    audible = hearing(g, talking)
+def _slot(g: NetworkGraph, talking: list) -> tuple[int, int]:
+    """The talkers' node mask and the listeners two or more of them reach.
+
+    Talkers are deaf, so they are never jammed: a reached node outside
+    both masks hears exactly one talker.
+    """
+    index = g.node_index
+    deaf = 0
     for u in talking:
-        audible.pop(u, None)
-    return audible
+        deaf |= 1 << index[u]
+    return deaf, jammed(g, talking) & ~deaf
 
 
 def _by_slot(slot_of: Mapping) -> dict[int, list]:
@@ -254,25 +262,28 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
                slots: list) -> tuple[set, dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
-    A listener hearing exactly one talker takes the batch.  Appends each
-    slot's ``("data", slot, talkers, audible)`` to ``slots``.  Returns the
-    listeners that got data, each listener's first collision slot, and
+    A listener that exactly one talker reaches takes the batch.  Appends each
+    slot's ``("data", slot, talkers, deaf, jam)`` to ``slots``.  Returns
+    the listeners that got data, each listener's first collision slot, and
     the number of collisions heard.
     """
+    index = g.node_index
     got_data: set = set()
     first_collision: dict = {}
     collisions_heard = 0
     for s, talking in _by_slot(slot_of).items():
-        audible = _audible(g, talking)
-        sent = {u: states[u].front_mask() for u in talking}
-        for v, heard in audible.items():
-            if len(heard) == 1:
-                states[v].held |= sent[heard[0]]
-                got_data.add(v)
-            else:
-                collisions_heard += 1
-                first_collision.setdefault(v, s)
-        slots.append(("data", s, talking, audible))
+        deaf, jam = _slot(g, talking)
+        for u in talking:
+            sent = states[u].front_mask()
+            for v in g.adjacency[u]:
+                bit = 1 << index[v]
+                if bit & jam:
+                    first_collision.setdefault(v, s)
+                elif not bit & deaf:
+                    states[v].held |= sent
+                    got_data.add(v)
+        collisions_heard += jam.bit_count()
+        slots.append(("data", s, talking, deaf, jam))
     return got_data, first_collision, collisions_heard
 
 
@@ -302,8 +313,8 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     """One collision-detecting round.
 
     Each transmitter sends the front batch of its pending queue in a random
-    first-half slot.  A listener hearing two or more overlapping senders in
-    a slot notes a collision and, unless it transmitted data itself this
+    first-half slot.  A listener that two or more senders reach in one
+    slot notes a collision and, unless it transmitted data itself this
     round, echoes an error in the matching second-half slot (for the first
     collision it heard).  A sender declares success only if its entire
     second half was silent; successful senders pop their batch.  When a
@@ -317,18 +328,18 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
 
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
-    noisy: set = set()
+    noisy = 0  # the node mask of everyone who heard an error slot
     for s, yelling in _by_slot(echoers).items():
-        audible = _audible(g, yelling)
-        collisions_heard += sum(1 for heard in audible.values()
-                                if len(heard) > 1)
-        noisy.update(audible)
-        slots.append(("error", s, yelling, audible))
+        deaf, jam = _slot(g, yelling)
+        collisions_heard += jam.bit_count()
+        for y in yelling:
+            noisy |= g.reach[y] & ~deaf
+        slots.append(("error", s, yelling, deaf, jam))
 
     # a sender that heard no error slot at all declares success
     succeeded = set()
     for u in senders:
-        if u not in noisy:
+        if not noisy >> g.node_index[u] & 1:
             succeeded.add(u)
             states[u].pending.popleft()
     return RoundLog(succeeded=frozenset(succeeded),

@@ -7,11 +7,11 @@ powers give asymmetric links.  When every node has the same power the graph
 is symmetric (a unit-disk graph scaled to that radius).
 
 A graph is fully described by its out-neighbor lists.  Reception is decided
-in one place: in a slot or round, a listener hears every talker that reaches
-it, and it receives cleanly only when it hears exactly one.  ``hearing``
-lists who hears whom; ``jammed`` gives, as one node mask (bit i for
-``node_ids[i]``), the listeners that hear two or more, from the reach masks
-cached on the graph.
+in one place, ``jammed``: in a slot or round, a listener hears every talker
+that reaches it, and it receives cleanly only when it hears exactly one.
+``jammed`` gives, as one node mask (bit i for ``node_ids[i]``), the
+listeners that hear two or more, from the reach masks cached on the graph;
+the centralized simulator and the slot protocols both read it.
 """
 
 from __future__ import annotations
@@ -384,27 +384,12 @@ def is_strongly_connected(g: NetworkGraph) -> bool:
     return g._strongly_connected
 
 
-def hearing(g: NetworkGraph, talkers: Iterable[int | str]) -> dict:
-    """Listener -> the talkers that reach it, in talker order.
-
-    The reception rule, of which ``jammed`` is the mask form: a listener
-    receives cleanly only when it hears exactly one talker.  Built from the
-    talkers' out-neighbor lists in O(sum of their out-degrees).  Talkers
-    appear as listeners too; callers whose talkers are deaf drop them.
-    """
-    heard: dict = {}
-    for u in talkers:
-        for v in g.adjacency[u]:
-            heard.setdefault(v, []).append(u)
-    return heard
-
-
 def jammed(g: NetworkGraph, talkers: Iterable[int | str]) -> int:
     """The mask of listeners that two or more talkers reach.
 
-    The reception rule of ``hearing`` as a node mask: a listener in the
-    mask is jammed, one reached but not in it hears exactly one talker.
-    One ``|=`` and one ``&`` of reach masks per talker.
+    The reception rule: a listener in the mask is jammed, one reached but
+    not in it hears exactly one talker and receives cleanly.  One ``|=``
+    and one ``&`` of reach masks per talker.
     """
     reach = g.reach
     once = twice = 0
@@ -413,29 +398,6 @@ def jammed(g: NetworkGraph, talkers: Iterable[int | str]) -> int:
         twice |= once & m
         once |= m
     return twice
-
-
-def conflict_set(g: NetworkGraph, within: Iterable[int | str],
-                 node_id: int | str) -> frozenset:
-    """Nodes of ``within`` whose transmissions can collide with node_id's.
-
-    Restricted to the subgraph induced by ``within``: w conflicts with u
-    when some common node of ``within`` hears both, i.e. w has an edge into
-    one of u's out-neighbors inside ``within``.  The result never contains
-    node_id itself and its size is at most D*(D-1) for D the maximum in- or
-    out-degree of the induced subgraph.
-    """
-    group = set(within)
-    if node_id not in group:
-        raise ModelError(f"node {node_id!r} is not in the given group")
-    for w in group:
-        if w not in g.adjacency:
-            raise ModelError(f"unknown node id {w!r}")
-    heard = hearing(g, group)
-    rivals = {w for v in g.adjacency[node_id] if v in group
-              for w in heard[v]}
-    rivals.discard(node_id)
-    return frozenset(rivals)
 
 
 # --- serialization ---------------------------------------------------------

@@ -31,8 +31,8 @@ from .bounds import BoundReport, bound_report
 from .central import (Rumor, make_collision_free, multibroadcast_schedule,
                       simulate_schedule)
 from .distributed import SimConfig, run_distributed_multibroadcast
-from .model import (NetworkGraph, load_network, network_from_dict,
-                    network_to_dict)
+from .model import (NetworkGraph, _check_ids, load_network,
+                    network_from_dict, network_to_dict)
 
 MODES = ("centralized", "distributed-cd", "distributed-nocd")
 BACKBONE_KINDS = ("greedy", "bounded-diameter", "oracle")
@@ -67,12 +67,14 @@ class Scenario:
                                 f"{self.backbone_kind!r}, "
                                 f"expected one of {BACKBONE_KINDS}")
         srcs = tuple(self.sources)
+        if not srcs:
+            raise ScenarioError("scenario needs at least one source")
         if len(set(srcs)) != len(srcs):
             raise ScenarioError("duplicate sources")
-        object.__setattr__(self, "sources", tuple(sorted(srcs)))
-        unknown = [s for s in self.sources if s not in self.network.adjacency]
+        unknown = [s for s in srcs if s not in self.network.adjacency]
         if unknown:
             raise ScenarioError(f"sources {unknown!r} are not network nodes")
+        object.__setattr__(self, "sources", tuple(sorted(srcs)))
         if not 1 <= self.compression <= len(self.sources):
             raise ScenarioError(
                 f"compression must lie in [1, {len(self.sources)}] "
@@ -165,6 +167,10 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
     if not isinstance(sources, list) or any(
             isinstance(s, (list, dict)) for s in sources):
         raise ScenarioError("sources must be a list of node ids")
+    _check_ids(sources)
+    for key, value in (("c", data["c"]), *cfg_data.items()):
+        if isinstance(value, bool):  # else true and false load as 1 and 0
+            raise ScenarioError(f"{key} must not be a boolean, got {value!r}")
     supplied = cfg_data.get("supplied_max_degree")
     try:  # a value such as null or a list does not convert
         compression = _integer(data["c"], "c")

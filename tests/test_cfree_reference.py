@@ -4,16 +4,18 @@
 kept each sub-round's listeners as a set of node ids.  The library keeps
 them as one node mask per sub-round; on random digraphs with asymmetric
 links and int or str ids, both must give the same ``Schedule``.  The mask
-jam rule ``model.jammed`` must name exactly the listeners that
-``model.hearing`` lists with two or more talkers, and each reach mask must
-hold exactly the node's out-neighbors.
+jam rule ``model.jammed`` must name exactly the listeners that the
+list-form ``hearing`` of ``reception_reference`` lists with two or more
+talkers, and each reach mask must hold exactly the node's out-neighbors.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from rumorcast.central import (Batch, Rumor, Schedule, Transmission,
                                make_collision_free)
-from rumorcast.model import NetworkGraph, hearing, jammed
+from rumorcast.model import NetworkGraph, jammed
+
+from reception_reference import hearing
 
 
 def reference_make_collision_free(g, sched):

@@ -1,4 +1,4 @@
-"""Geometry, reachability, and conflict-set tests for the network model."""
+"""Geometry and reachability tests for the network model."""
 
 import json
 import math
@@ -15,7 +15,6 @@ from rumorcast.model import (
     Obstacle,
     bfs_distances,
     build_network,
-    conflict_set,
     diameter,
     hop_distance,
     is_strongly_connected,
@@ -229,57 +228,6 @@ def test_adjacency_matches_pairwise_distance_check(g):
                 assert v.id in g.adjacency[u.id]
             elif d > reach + 1e-6:
                 assert v.id not in g.adjacency[u.id]
-
-
-# --- conflict sets ---------------------------------------------------------
-
-def test_conflict_set_on_a_three_node_path():
-    g = NetworkGraph.from_adjacency({"a": ["b"], "b": ["a", "c"], "c": ["b"]})
-    assert conflict_set(g, {"a", "b", "c"}, "a") == frozenset({"c"})
-
-
-def test_conflict_set_on_a_single_link_is_empty():
-    g = NetworkGraph.from_adjacency({"a": ["b"], "b": ["a"]})
-    assert conflict_set(g, {"a", "b"}, "a") == frozenset()
-
-
-def test_conflict_set_is_restricted_to_the_given_group():
-    g = NetworkGraph.from_adjacency({"a": ["b"], "b": ["a", "c"], "c": ["b"]})
-    # without c in the group there is nobody left to collide with
-    assert conflict_set(g, {"a", "b"}, "a") == frozenset()
-
-
-def test_conflict_set_requires_membership():
-    g = NetworkGraph.from_adjacency({"a": ["b"], "b": ["a"]})
-    with pytest.raises(ModelError):
-        conflict_set(g, {"b"}, "a")
-
-
-@given(random_digraphs(), st.data())
-@settings(max_examples=150)
-def test_conflict_set_size_bound(g, data):
-    ids = list(g.node_ids)
-    group = data.draw(st.sets(st.sampled_from(ids), min_size=1))
-    u = data.draw(st.sampled_from(sorted(group)))
-    rivals = conflict_set(g, group, u)
-    # degree of the induced subgraph: larger of in- and out-degree
-    max_deg = max(max(len([v for v in g.adjacency[w] if v in group]),
-                      len([v for v in group if w in g.adjacency[v]]))
-                  for w in group)
-    assert len(rivals) <= max_deg * max(0, max_deg - 1)
-    assert u not in rivals
-    assert rivals <= group
-
-
-@given(random_digraphs())
-@settings(max_examples=150)
-def test_conflict_set_over_all_nodes_is_common_recipient_relation(g):
-    ids = set(g.node_ids)
-    for u in ids:
-        rivals = conflict_set(g, ids, u)
-        expect = {w for w in ids if w != u
-                  and set(g.adjacency[u]) & set(g.adjacency[w])}
-        assert rivals == expect
 
 
 # --- serialization ---------------------------------------------------------

@@ -7,7 +7,9 @@ random symmetric graphs with random pending batches (some ``Batch``
 objects shared between senders), address lists and prior holdings, both
 run several consecutive rounds and must agree on the records, the
 outcome counts, every node's holdings, queue and address list, and the
-next draw of every node's stream.
+next draw of every node's stream.  The same check runs on random directed
+graphs, where one-way links make a listener's talkers differ from the
+nodes it reaches.
 """
 
 from collections import deque
@@ -19,7 +21,9 @@ from rumorcast.central import Batch, Rumor
 from rumorcast.distributed import (DistributedError, SimConfig, SlotRecord,
                                    init_states, node_rng, run_round_cd,
                                    run_round_nocd, slot_count)
-from rumorcast.model import ModelError, NetworkGraph, hearing
+from rumorcast.model import ModelError, NetworkGraph
+
+from reception_reference import hearing
 
 
 # --- the set-based reference -----------------------------------------------
@@ -175,12 +179,17 @@ def ref_round_nocd(g, states, transmitters, cfg, *, round_index=1):
 # --- random instances ------------------------------------------------------
 
 @st.composite
-def instances(draw):
+def instances(draw, directed=False):
     n = draw(st.integers(min_value=2, max_value=8))
     adj = {u: set() for u in range(n)}
     for u in range(n):
         for v in range(u + 1, n):
-            if draw(st.booleans()):
+            if directed:
+                if draw(st.booleans()):
+                    adj[u].add(v)
+                if draw(st.booleans()):
+                    adj[v].add(u)
+            elif draw(st.booleans()):
                 adj[u].add(v)
                 adj[v].add(u)
     g = NetworkGraph.from_adjacency({u: sorted(vs) for u, vs in adj.items()})
@@ -224,6 +233,17 @@ def same_nodes(g, ref, new):
 @settings(max_examples=250, deadline=None)
 @given(instances(), st.data())
 def test_rounds_match_the_set_based_reference(instance, data):
+    check_rounds(instance, data)
+
+
+@settings(max_examples=250, deadline=None)
+@given(instances(directed=True), st.data())
+def test_rounds_match_the_set_based_reference_on_one_way_links(instance,
+                                                               data):
+    check_rounds(instance, data)
+
+
+def check_rounds(instance, data):
     g, pool, batches, cfg = instance
     ref = ref_states(g, cfg)
     new = init_states(g, cfg)

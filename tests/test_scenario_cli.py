@@ -376,3 +376,46 @@ def test_cli_unorderable_node_ids_exit_2(tmp_path, capsys, network):
     assert main(["run", "--scenario", str(tmp_path / "net.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _refused(tmp_path, capsys, data) -> str:
+    """``validate`` and ``run`` both exit 2 on ``data`` with one error line;
+    returns that line."""
+    spath = tmp_path / "sc.json"
+    spath.write_text(json.dumps(data))
+    capsys.readouterr()
+    errs = []
+    for verb in ("validate", "run"):
+        assert main([verb, "--scenario", str(spath)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: ") and errs[0].count("\n") == 1
+    return errs[0]
+
+
+INT_PATH = {"adjacency": [[1, [3]], [3, [1, 5]], [5, [3]]]}
+
+
+@pytest.mark.parametrize("sources", [["1", 3], [True, 3], [1.0, 3]],
+                         ids=["str-and-int", "true", "float"])
+def test_cli_source_not_a_node_id_exits_2(tmp_path, capsys, sources):
+    # "1" sorted against 3 raised TypeError; true and 1.0 aliased node 1
+    _refused(tmp_path, capsys, {"name": "p", "network": INT_PATH,
+                                "sources": sources, "c": 1})
+
+
+def test_cli_no_sources_exits_2(tmp_path, capsys):
+    err = _refused(tmp_path, capsys, {"name": "p", "network": INT_PATH,
+                                      "sources": [], "c": 1})
+    assert err == "error: scenario needs at least one source\n"
+
+
+@pytest.mark.parametrize("key", ["c", "mu", "max_rounds",
+                                 "supplied_max_degree"])
+def test_cli_boolean_number_exits_2(tmp_path, capsys, key):
+    # true would otherwise load as 1, a valid value for every one of these
+    data = {"name": "p", "network": INT_PATH, "sources": [1, 5], "c": 1,
+            "cfg": {"degree_knowledge": "supplied", "supplied_max_degree": 2}}
+    (data if key == "c" else data["cfg"])[key] = True
+    err = _refused(tmp_path, capsys, data)
+    assert err == f"error: {key} must not be a boolean, got True\n"

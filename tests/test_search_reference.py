@@ -141,7 +141,7 @@ def ref_broadcast_schedule(g, bb, source):
     members = set(bb.members)
     by_round = {}
     t0 = 0
-    entry = _attach_member(g, bb, source)
+    entry = _attach_member(g, members, source)
     if entry != source:
         by_round[1] = [Transmission(source, _batch([rumor]))]
         t0 = 1

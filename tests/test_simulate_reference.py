@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from rumorcast.central import (Batch, Rumor, Schedule, ScheduleError,
                                Transmission, simulate_schedule)
-from rumorcast.model import NetworkGraph, hearing
+from rumorcast.model import NetworkGraph
+
+from reception_reference import hearing
 
 
 def reference_simulate(g, sched, *, interference=False):
