@@ -194,7 +194,8 @@ def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
 def greedy_cds(g: NetworkGraph) -> Backbone:
     """Grow a connected dominating set by repeated best-coverage picks.
 
-    Starts from the node covering the most nodes (itself plus neighbors) and
+    Starts from the node covering the most nodes (itself plus neighbors:
+    the highest degree, as adjacency lists hold no self-loops or repeats) and
     repeatedly blackens either one covered non-member or a covered/uncovered
     adjacent pair, whichever newly covers the most uncovered nodes.  Ties
     prefer the single pick, then smaller ids.  The chosen set stays connected
@@ -203,10 +204,16 @@ def greedy_cds(g: NetworkGraph) -> Backbone:
 
     Picks are found by lazy evaluation (Minoux's accelerated greedy): the
     candidates of each node sit in a heap from the moment it turns gray,
-    keyed ``(-gain, kind, pick)``.  Gains only fall as white nodes vanish,
-    so a stored key never exceeds the true one, and a popped key that
-    survives recomputation unchanged is the best pick a full rescan would
-    find.  The connectivity test behind it is cached on the graph.
+    keyed ``(-gain, kind, pick)``.  ``wdeg[u]`` counts u's white
+    (uncovered) neighbors; it drops by one over a node's neighbors when
+    that node leaves white, O(edges) in all, so a single pick's gain is its
+    count.  A pair (v, w) newly covers the white neighbors of v and of w,
+    so it is pushed with the upper bound ``wdeg[v] + wdeg[w]`` and
+    recounted exactly when popped.  Gains only fall as white nodes vanish,
+    so every stored key is at least as good as the true one, and a popped
+    key that survives recomputation unchanged (gain, kind and pick) is the
+    very pick a full rescan would make, ties included.  The connectivity
+    test behind it is cached on the graph.
     """
     _require_symmetric(g, "greedy_cds")
     if not is_strongly_connected(g):
@@ -221,41 +228,47 @@ def greedy_cds(g: NetworkGraph) -> Backbone:
     white = set(ids)
     black: set = set()
     gray: set = set()
+    wdeg = {u: len(adj[u]) for u in ids}
     heap: list = []
+
+    def leave_white(u) -> None:
+        white.discard(u)
+        for x in adj[u]:
+            wdeg[x] -= 1
 
     def blacken(u) -> list:
         """Blacken u and return the nodes it turned from white to gray."""
-        white.discard(u)
+        if u in white:
+            leave_white(u)
         gray.discard(u)
         black.add(u)
         fresh = [v for v in adj[u] if v in white]
-        white.difference_update(fresh)
+        for v in fresh:
+            leave_white(v)
         gray.update(fresh)
         return fresh
 
     def current_key(kind: int, pick: tuple):
-        """The pick's current heap key, or None once it can never win."""
+        """The pick's exact heap key, or None once it can never win."""
         v = pick[0]
         if v not in gray:
             return None
         if kind == 0:
-            gain = sum(1 for w in adj[v] if w in white)
-            return (-gain, 0, pick) if gain else None
+            return (-wdeg[v], 0, pick) if wdeg[v] else None
         w = pick[1]
         if w not in white:
             return None
-        covered = {w}
-        covered.update(x for x in adj[v] if x in white)
-        covered.update(x for x in adj[w] if x in white)
-        return (-len(covered), 1, pick)
+        # w is white and adjacent to v, so it is counted among v's neighbors
+        return (-len(white.intersection((*adj[v], *adj[w]))), 1, pick)
 
     def push_candidates(v) -> None:
-        for kind, pick in [(0, (v,))] + [(1, (v, w)) for w in adj[v]]:
-            entry = current_key(kind, pick)
-            if entry is not None:
-                heapq.heappush(heap, entry)
+        if wdeg[v]:
+            heapq.heappush(heap, (-wdeg[v], 0, (v,)))
+        for w in adj[v]:
+            if w in white:
+                heapq.heappush(heap, (-(wdeg[v] + wdeg[w]), 1, (v, w)))
 
-    first = min(ids, key=lambda u: (-len({u} | set(adj[u])), u))
+    first = min(ids, key=lambda u: (-len(adj[u]), u))
     for v in blacken(first):
         push_candidates(v)
 

@@ -304,14 +304,17 @@ def hop_distance(g: NetworkGraph, src: int | str, dst: int | str) -> int | None:
 
 def bfs_distances(g: NetworkGraph, src: int | str) -> dict[int | str, int]:
     """Directed hop counts from src to every reachable node."""
+    adj = g.adjacency
     dist = {src: 0}
     frontier = [src]
+    depth = 0
     while frontier:
+        depth += 1
         nxt = []
         for u in frontier:
-            for v in g.adjacency[u]:
+            for v in adj[u]:
                 if v not in dist:
-                    dist[v] = dist[u] + 1
+                    dist[v] = depth
                     nxt.append(v)
         frontier = nxt
     return dist

@@ -3,8 +3,11 @@
 ``greedy_cds`` evaluates its candidate gains lazily from a heap, and
 ``pick_sources`` streams one BFS map at a time; the full-rescan greedy loop
 and the all-pairs source pick below are the reference versions, and both
-must give the same results.  ``diameter`` on a symmetric graph prunes its
-BFS passes and is checked against one BFS from every node.
+must give the same results, on unit-disk graphs, on general symmetric
+graphs and on named graphs where many picks tie.  ``bfs_distances`` counts
+levels instead of reading each parent's depth and must give the same map,
+keys in the same order.  ``diameter`` on a symmetric graph prunes its BFS
+passes and is checked against one BFS from every node.
 """
 
 from __future__ import annotations
@@ -95,6 +98,25 @@ def jittered_udg(side: int, seed: int) -> NetworkGraph:
     return build_network(nodes)
 
 
+def connect_components(g: NetworkGraph) -> NetworkGraph:
+    """g itself if connected, else g with each component chained to the
+    next."""
+    if is_strongly_connected(g):
+        return g
+    adj = {u: set(g.adjacency[u]) for u in g.node_ids}
+    seen: set = set()
+    prev = None
+    for u in g.node_ids:
+        if u in seen:
+            continue
+        seen.update(bfs_distances(g, u))
+        if prev is not None:
+            adj[prev].add(u)
+            adj[u].add(prev)
+        prev = u
+    return NetworkGraph.from_adjacency(adj)
+
+
 @st.composite
 def connected_udgs(draw):
     n = draw(st.integers(min_value=1, max_value=90))
@@ -102,22 +124,8 @@ def connected_udgs(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     nodes = [NodeSpec(i, rng.random(), rng.random(), radius ** 2)
              for i in range(n)]
-    g = build_network(nodes)
-    if not is_strongly_connected(g):
-        # keep the sample: chain each component to the next
-        adj = {u: set(g.adjacency[u]) for u in g.node_ids}
-        seen: set = set()
-        prev = None
-        for u in g.node_ids:
-            if u in seen:
-                continue
-            seen.update(bfs_distances(g, u))
-            if prev is not None:
-                adj[prev].add(u)
-                adj[u].add(prev)
-            prev = u
-        g = NetworkGraph.from_adjacency(adj)
-    return g
+    # keep a disconnected sample: chain each component to the next
+    return connect_components(build_network(nodes))
 
 
 @given(connected_udgs())
@@ -139,13 +147,84 @@ def test_lazy_greedy_and_diameter_on_a_729_node_udg():
     assert diameter(g) == all_pairs_diameter(g)
 
 
+def grid(rows: int, cols: int) -> dict:
+    """Cell (i, j) is node i * cols + j."""
+    return {i * cols + j: [(i + di) * cols + j + dj
+                           for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                           if 0 <= i + di < rows and 0 <= j + dj < cols]
+            for i in range(rows) for j in range(cols)}
+
+
+def cycle(n: int) -> dict:
+    return {i: [(i - 1) % n, (i + 1) % n] for i in range(n)}
+
+
+def wheel(spokes: int) -> dict:
+    """Hub 0 joined to every node of a cycle on 1..spokes."""
+    adj = {i + 1: [(i - 1) % spokes + 1, (i + 1) % spokes + 1, 0]
+           for i in range(spokes)}
+    adj[0] = list(range(1, spokes + 1))
+    return adj
+
+
+def complete_bipartite(a: int, b: int) -> dict:
+    """K_{a,b}; K_{1,b} is a star with hub 0."""
+    left, right = range(a), range(a, a + b)
+    return {**{u: list(right) for u in left},
+            **{v: list(left) for v in right}}
+
+
+TIE_HEAVY = {
+    **{f"grid-{r}x{c}": grid(r, c)
+       for r, c in [(1, 2), (1, 9), (2, 2), (3, 3), (4, 6), (5, 5), (8, 9),
+                    (12, 12)]},
+    **{f"cycle-{n}": cycle(n) for n in (3, 4, 5, 6, 7, 12, 31, 64)},
+    **{f"wheel-{n}": wheel(n) for n in (3, 4, 5, 8, 17, 40)},
+    **{f"k{a},{b}": complete_bipartite(a, b)
+       for a, b in [(2, 2), (2, 5), (3, 3), (3, 7), (6, 6)]},
+    **{f"star-{n}": complete_bipartite(1, n) for n in (1, 2, 3, 10, 50)},
+}
+
+
+def assert_same_backbone(g: NetworkGraph) -> None:
+    got, want = greedy_cds(g), reference_greedy_cds(g)
+    assert got.members == want.members
+    assert got.root == want.root
+    assert dict(got.parent) == dict(want.parent)
+
+
+@pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+def test_lazy_greedy_matches_full_rescan_where_picks_tie(name):
+    adj = TIE_HEAVY[name]
+    assert_same_backbone(NetworkGraph.from_adjacency(adj))
+    # string ids order differently ("10" < "9"), so the tie breaks move
+    assert_same_backbone(NetworkGraph.from_adjacency(
+        {str(u): [str(v) for v in vs] for u, vs in adj.items()}))
+
+
+def reference_bfs_distances(g: NetworkGraph, src) -> dict:
+    """Frontier BFS that reads each depth off the parent's entry."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in g.adjacency[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 @st.composite
-def any_graphs(draw, max_nodes=12):
+def any_graphs(draw, max_nodes=12, symmetric=None):
     """Symmetric or directed, connected or not, int or str ids."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1),
                                    st.integers(0, n - 1)), max_size=3 * n))
-    symmetric = draw(st.booleans())
+    if symmetric is None:
+        symmetric = draw(st.booleans())
     name = str if draw(st.booleans()) else int
     adj = {name(u): set() for u in range(n)}
     for u, v in edges:
@@ -154,6 +233,21 @@ def any_graphs(draw, max_nodes=12):
             if symmetric:
                 adj[name(v)].add(name(u))
     return NetworkGraph.from_adjacency(adj)
+
+
+@given(any_graphs(max_nodes=40, symmetric=True).map(connect_components))
+@settings(max_examples=200, deadline=None)
+def test_lazy_greedy_matches_full_rescan_on_general_graphs(g):
+    assert_same_backbone(g)
+
+
+@given(any_graphs(max_nodes=30))
+@settings(max_examples=200, deadline=None)
+def test_bfs_distances_match_the_reference_in_key_order(g):
+    for src in g.node_ids:
+        got, want = bfs_distances(g, src), reference_bfs_distances(g, src)
+        assert got == want
+        assert list(got) == list(want)
 
 
 @given(any_graphs(), st.integers(min_value=1, max_value=12))
