@@ -35,9 +35,7 @@ class Backbone:
     """A connected dominating set with a rooted spanning arborescence.
 
     ``parent`` maps every member to its arborescence parent (None for the
-    root); parent edges are edges of the network.  ``origin`` records which
-    construction produced it: "greedy", "bounded-diameter", "oracle", or
-    "explicit".
+    root); parent edges are edges of the network.
 
     A backbone is immutable: its tree (``children`` and ``depth``) comes
     from one walk from the root, done at most once and cached on it.
@@ -46,7 +44,6 @@ class Backbone:
     members: tuple
     root: int | str
     parent: Mapping[int | str, int | str | None]
-    origin: str = "explicit"
 
     @property
     def size(self) -> int:
@@ -79,19 +76,9 @@ class Backbone:
                     order.append(v)
         return depth
 
-    def depth_of(self, member: int | str) -> int:
-        """Hop depth of a member below the root along parent links.
-
-        Raises KeyError for a member the root does not reach.
-        """
-        return self.depth[member]
-
     @cached_property
     def max_depth(self) -> int:
         return max(self.depth.values())
-
-    def children_of(self, member: int | str) -> tuple:
-        return self.children.get(member, ())
 
 
 @dataclass(frozen=True)
@@ -221,8 +208,7 @@ def greedy_cds(g: NetworkGraph) -> Backbone:
     ids = list(g.node_ids)
     if len(ids) == 1:
         only = ids[0]
-        return Backbone(members=(only,), root=only, parent={only: None},
-                        origin="greedy")
+        return Backbone(members=(only,), root=only, parent={only: None})
 
     adj = g.adjacency
     white = set(ids)
@@ -291,8 +277,7 @@ def greedy_cds(g: NetworkGraph) -> Backbone:
     members = tuple(sorted(black))
     root = members[0]
     return Backbone(members=members, root=root,
-                    parent=build_arborescence(g, members, root),
-                    origin="greedy")
+                    parent=build_arborescence(g, members, root))
 
 
 def brute_force_mcds(g: NetworkGraph) -> Backbone:
@@ -325,8 +310,7 @@ def brute_force_mcds(g: NetworkGraph) -> Backbone:
                 continue
             root = combo[0]
             return Backbone(members=combo, root=root,
-                            parent=build_arborescence(g, combo, root),
-                            origin="oracle")
+                            parent=build_arborescence(g, combo, root))
     raise DisconnectedError("no connected dominating set exists")
 
 
@@ -403,5 +387,4 @@ def bounded_diameter_cds(g: NetworkGraph,
         members.update(_lex_shortest_path(g, root, leader))
     out = tuple(sorted(members))
     return Backbone(members=out, root=root,
-                    parent=build_arborescence(g, out, root),
-                    origin="bounded-diameter")
+                    parent=build_arborescence(g, out, root))

@@ -163,7 +163,8 @@ def bound_report(g: NetworkGraph, rumor_count: int, compression: int,
     A caller that already built the greedy backbone passes it as
     ``greedy``, which must be ``greedy_cds(g)`` of this same graph; without
     it the backbone is built here.  The time floor is the diameter, which
-    is cached on the graph.
+    is cached on the graph.  On a one-node network the only node already
+    holds every rumor, so the message floor is 0.
     """
     if len(g.node_ids) <= BRUTE_FORCE_NODE_LIMIT:
         mcds = brute_force_mcds(g)
@@ -171,8 +172,9 @@ def bound_report(g: NetworkGraph, rumor_count: int, compression: int,
     else:
         mcds = greedy if greedy is not None else greedy_cds(g)
         exact = False
+    message_lb = message_lower_bound(rumor_count, compression, mcds.size)
     return BoundReport(
-        message_lb=message_lower_bound(rumor_count, compression, mcds.size),
+        message_lb=message_lb if len(g.node_ids) > 1 else 0,
         time_lb=diameter(g),
         mcds_size=mcds.size,
         mcds_is_exact=exact,

@@ -291,7 +291,7 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
     for m in members:
         for v in (m, *g.adjacency[m]):
             cover[v] += 1
-    live_kids = {m: len(bb.children_of(m)) for m in members}
+    live_kids = {m: len(bb.children[m]) for m in members}
     senders = set(members)
 
     def prunable(m) -> bool:

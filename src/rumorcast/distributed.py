@@ -97,7 +97,11 @@ def slot_count(g: NetworkGraph, cfg: SimConfig) -> int:
         top = cfg.supplied_max_degree
     else:
         top = g.max_degree
-    return max(1, math.ceil(cfg.slot_factor * top))
+    try:
+        return max(1, math.ceil(cfg.slot_factor * top))
+    except OverflowError:  # the product is inf or exceeds a float
+        raise DistributedError(f"slot_factor {cfg.slot_factor} times the max "
+                               f"degree overflows the slot count") from None
 
 
 class NodeState:

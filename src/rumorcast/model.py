@@ -102,7 +102,7 @@ class NetworkGraph:
 
     ``adjacency`` maps each node id to its out-neighbors sorted by id.
     ``symmetric`` reports whether every link is bidirectional, which holds
-    automatically when all powers are equal (``uniform_power``).
+    automatically when all powers are equal.
 
     A graph is immutable after construction: ``node_ids``, ``symmetric``,
     ``max_degree``, the reach masks, strong connectivity and the diameter
@@ -131,11 +131,6 @@ class NetworkGraph:
         return _ReachMasks(self)
 
     @property
-    def uniform_power(self) -> bool:
-        powers = {n.power for n in self.nodes}
-        return len(powers) <= 1
-
-    @property
     def combinatorial(self) -> bool:
         """True for graphs built from explicit adjacency without geometry.
 
@@ -152,18 +147,6 @@ class NetworkGraph:
                 if u not in self.adjacency[v]:
                     return False
         return True
-
-    def node(self, node_id: int | str) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise ModelError(f"unknown node id {node_id!r}")
-
-    def out_neighbors(self, node_id: int | str) -> tuple[int | str, ...]:
-        try:
-            return self.adjacency[node_id]
-        except KeyError:
-            raise ModelError(f"unknown node id {node_id!r}") from None
 
     @cached_property
     def max_degree(self) -> int:
@@ -293,13 +276,6 @@ def _grid(nodes: Sequence[NodeSpec], max_reach: float) -> tuple[list, dict]:
     for key, n in zip(keys, nodes):
         cells.setdefault(key, []).append(n)
     return keys, cells
-
-
-def hop_distance(g: NetworkGraph, src: int | str, dst: int | str) -> int | None:
-    """Directed hop count from src to dst by BFS, or None if unreachable."""
-    if src not in g.adjacency or dst not in g.adjacency:
-        raise ModelError("hop_distance got an unknown node id")
-    return bfs_distances(g, src).get(dst)
 
 
 def bfs_distances(g: NetworkGraph, src: int | str) -> dict[int | str, int]:
@@ -485,12 +461,6 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
         return build_network(nodes, obstacles, alpha, strict=strict)
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed network description: {exc}") from exc
-
-
-def save_network(g: NetworkGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_network(path: str) -> NetworkGraph:

@@ -30,7 +30,7 @@ from .backbone import (Backbone, bounded_diameter_cds, brute_force_mcds,
 from .bounds import BoundReport, bound_report
 from .central import (Rumor, make_collision_free, multibroadcast_schedule,
                       simulate_schedule)
-from .distributed import SimConfig, run_distributed_multibroadcast
+from .distributed import SimConfig, run_distributed_multibroadcast, slot_count
 from .model import (NetworkGraph, _check_ids, load_network,
                     network_from_dict, network_to_dict)
 
@@ -79,9 +79,11 @@ class Scenario:
             raise ScenarioError(
                 f"compression must lie in [1, {len(self.sources)}] "
                 f"(one per source), got {self.compression}")
-        if self.mode != "centralized" and not self.network.symmetric:
-            raise ScenarioError(
-                "distributed modes need a symmetric network")
+        if not self.network.symmetric:
+            raise ScenarioError("every backbone needs a symmetric network "
+                                "(two-way links)")
+        if self.mode != "centralized":
+            slot_count(self.network, self.cfg)
 
     @property
     def rumor_count(self) -> int:
@@ -191,12 +193,6 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
                     backbone_kind=data.get("backbone", "greedy"))
 
 
-def save_scenario(sc: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_scenario(path: str) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -219,7 +215,8 @@ class SeedOutcome:
 
     @property
     def ratio(self) -> float:
-        return self.messages / self.message_lb
+        # the floor is 0 only on a one-node network; count messages there
+        return self.messages / max(self.message_lb, 1)
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,6 @@ from rumorcast.model import (
     ModelError,
     NetworkGraph,
     diameter,
-    hop_distance,
 )
 from rumorcast.backbone import (
     Backbone,
@@ -42,7 +41,6 @@ def test_greedy_cds_on_five_node_path():
     g = path_graph(["a", "b", "c", "d", "e"])
     bb = greedy_cds(g)
     assert bb.members == ("b", "c", "d")
-    assert bb.origin == "greedy"
     validate_backbone(g, bb)
 
 
@@ -84,7 +82,6 @@ def test_brute_force_mcds_on_six_cycle():
     bb = brute_force_mcds(cycle_graph(6))
     assert bb.members == (0, 1, 2, 3)
     assert bb.size == 4
-    assert bb.origin == "oracle"
 
 
 def test_brute_force_mcds_on_four_node_path():
@@ -141,9 +138,9 @@ def test_build_arborescence_on_four_cycle():
     parent = build_arborescence(g, [0, 1, 2, 3], 0)
     assert parent == {0: None, 1: 0, 3: 0, 2: 1}
     bb = Backbone(members=(0, 1, 2, 3), root=0, parent=parent)
-    assert bb.depth_of(2) == 2
+    assert bb.depth[2] == 2
     assert bb.max_depth == 2
-    assert bb.children_of(0) == (1, 3)
+    assert bb.children[0] == (1, 3)
 
 
 def test_build_arborescence_rejects_detached_members():
@@ -208,7 +205,6 @@ def test_bounded_diameter_keeps_base_and_stays_small():
     g = cycle_graph(6)
     base = greedy_cds(g)
     bb = bounded_diameter_cds(g, base)
-    assert bb.origin == "bounded-diameter"
     assert set(base.members) <= set(bb.members)
     assert bb.size <= 3 * base.size
     assert bb.root == min(base.members)

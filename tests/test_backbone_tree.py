@@ -54,10 +54,10 @@ def trees_with_chords(draw):
 
 def check_tree_facts(bb: Backbone) -> None:
     for m in bb.members:
-        assert bb.depth_of(m) == ref_depth(bb, m)
-        assert bb.children_of(m) == ref_children(bb, m)
+        assert bb.depth[m] == ref_depth(bb, m)
+        assert bb.children[m] == ref_children(bb, m)
     assert bb.max_depth == max(ref_depth(bb, m) for m in bb.members)
-    assert bb.children_of(-1) == ()
+    assert -1 not in bb.children
     # root-first: the root leads and depths never decrease
     keys = list(bb.depth)
     assert keys[0] == bb.root and sorted(keys) == list(bb.members)
@@ -121,11 +121,11 @@ def _finishes(call):
 
 def test_cycle_off_the_root_returns_or_raises():
     bb = Backbone(members=(0, 1, 2), root=0, parent={0: None, 1: 2, 2: 1})
-    assert isinstance(_finishes(lambda: bb.depth_of(1)), KeyError)
-    assert _finishes(lambda: bb.depth_of(0)) == 0
+    assert isinstance(_finishes(lambda: bb.depth[1]), KeyError)
+    assert _finishes(lambda: bb.depth[0]) == 0
     assert _finishes(lambda: bb.max_depth) == 0
-    assert _finishes(lambda: bb.children_of(1)) == (2,)
-    assert _finishes(lambda: bb.children_of(2)) == (1,)
+    assert _finishes(lambda: bb.children[1]) == (2,)
+    assert _finishes(lambda: bb.children[2]) == (1,)
     g = NetworkGraph.from_adjacency({0: [1], 1: [0, 2], 2: [1]})
     with pytest.raises(BackboneError, match="^parent links contain a cycle$"):
         validate_backbone(g, bb)
@@ -133,9 +133,9 @@ def test_cycle_off_the_root_returns_or_raises():
 
 def test_root_with_a_parent_returns_or_raises():
     bb = Backbone(members=(0, 1, 2), root=0, parent={0: 2, 1: 0, 2: 1})
-    assert _finishes(lambda: bb.depth_of(2)) == 2
+    assert _finishes(lambda: bb.depth[2]) == 2
     assert _finishes(lambda: bb.max_depth) == 2
-    assert _finishes(lambda: bb.children_of(2)) == (0,)
+    assert _finishes(lambda: bb.children[2]) == (0,)
     g = NetworkGraph.from_adjacency({0: [1, 2], 1: [0, 2], 2: [0, 1]})
     with pytest.raises(BackboneError, match="^root must have no parent$"):
         validate_backbone(g, bb)

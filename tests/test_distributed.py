@@ -203,7 +203,7 @@ def test_cd_success_implies_every_listener_received(g, data):
     states = armed(g, cfg, batches)
     log = run_round_cd(g, states, senders, cfg)
     for u in log.succeeded:
-        for v in g.out_neighbors(u):
+        for v in g.adjacency[u]:
             if v not in senders:
                 assert Rumor(u, 0) in states[v].held_rumors
     # a node transmits in at most one slot per round
@@ -243,11 +243,11 @@ def test_nocd_round_rejects_bad_state():
 @settings(max_examples=120, deadline=None)
 @given(symmetric_graphs(), st.data())
 def test_nocd_departures_really_hold_the_batch(g, data):
-    candidates = [u for u in sorted(g.node_ids) if g.out_neighbors(u)]
+    candidates = [u for u in sorted(g.node_ids) if g.adjacency[u]]
     if not candidates:
         return
     u = data.draw(st.sampled_from(candidates))
-    audience = data.draw(st.sets(st.sampled_from(sorted(g.out_neighbors(u))),
+    audience = data.draw(st.sets(st.sampled_from(sorted(g.adjacency[u])),
                                  min_size=1))
     cfg = SimConfig(slot_factor=1.0, mode="nocd",
                     seed=data.draw(st.integers(0, 10 ** 6)))
@@ -270,7 +270,7 @@ def test_nocd_star_drain_statistics():
     for seed in range(trials):
         cfg = SimConfig(slot_factor=2.0, mode="nocd", seed=seed)
         states = armed(g, cfg, {"hub": Batch((Rumor("hub", 0),))})
-        states["hub"].awaiting_ack = set(g.out_neighbors("hub"))
+        states["hub"].awaiting_ack = set(g.adjacency["hub"])
         rounds = 0
         while states["hub"].pending:
             rounds += 1

@@ -24,7 +24,6 @@ from rumorcast.fixtures import (
 from rumorcast.model import (
     bfs_distances,
     diameter,
-    hop_distance,
     is_strongly_connected,
     network_to_dict,
 )
@@ -39,7 +38,7 @@ def induced_member_diameter(g, members):
         while frontier:
             nxt = []
             for u in frontier:
-                for v in g.out_neighbors(u):
+                for v in g.adjacency[u]:
                     if v in allowed and v not in seen:
                         seen[v] = seen[u] + 1
                         nxt.append(v)
@@ -58,7 +57,7 @@ def test_random_udg_single_node():
 def test_random_udg_huge_radius_is_complete():
     g = gen_random_udg(10, radius=math.sqrt(2) + 0.01, seed=4)
     for u in g.node_ids:
-        assert len(g.out_neighbors(u)) == 9
+        assert len(g.adjacency[u]) == 9
 
 
 def test_random_udg_deterministic_and_connected():
@@ -66,8 +65,9 @@ def test_random_udg_deterministic_and_connected():
     b = gen_random_udg(12, radius=0.45, seed=99)
     assert network_to_dict(a) == network_to_dict(b)
     assert is_strongly_connected(a)
-    assert a.uniform_power and a.symmetric
-    assert a.node(3).power == pytest.approx(0.45 ** 2)
+    assert len({n.power for n in a.nodes}) == 1 and a.symmetric
+    assert a.nodes[3].id == 3
+    assert a.nodes[3].power == pytest.approx(0.45 ** 2)
 
 
 def test_random_udg_gives_up_with_advice():
@@ -92,9 +92,9 @@ def test_ring_rejects_small_rings():
 
 def test_ring_exact_adjacency_small():
     g = gen_ring_fixture(6)
-    assert set(g.out_neighbors("hub")) == {f"o{i}" for i in range(6)}
-    assert set(g.out_neighbors("o0")) == {"hub", "o1", "o5", "t0"}
-    assert g.out_neighbors("t2") == ("o2",)
+    assert set(g.adjacency["hub"]) == {f"o{i}" for i in range(6)}
+    assert set(g.adjacency["o0"]) == {"hub", "o1", "o5", "t0"}
+    assert g.adjacency["t2"] == ("o2",)
 
 
 def test_ring_smallest_backbone_is_the_outer_cycle():
@@ -107,7 +107,7 @@ def test_ring_smallest_backbone_is_the_outer_cycle():
 
     g9 = gen_ring_fixture(9)
     tips = [f"t{i}" for i in range(9)]
-    hoods = [frozenset({t} | set(g9.out_neighbors(t))) for t in tips]
+    hoods = [frozenset({t} | set(g9.adjacency[t])) for t in tips]
     for i, a in enumerate(hoods):
         for b in hoods[i + 1:]:
             assert not (a & b)
@@ -135,7 +135,7 @@ def test_star_path_smallest_is_three_node_path():
     assert sources == ["p1"]
     assert set(g.node_ids) == {"c", "p1", "r"}
     assert diameter(g) == 2
-    assert set(g.out_neighbors("c")) == {"p1", "r"}
+    assert set(g.adjacency["c"]) == {"p1", "r"}
 
 
 def test_star_path_shape_and_diameter():
@@ -143,9 +143,9 @@ def test_star_path_shape_and_diameter():
     assert len(g.node_ids) == 8
     assert sources == ["p1", "p2", "p3", "p4"]
     assert diameter(g) == 4
-    assert hop_distance(g, "p1", "r") == 4
-    assert g.out_neighbors("r") == ("t2",)
-    assert set(g.out_neighbors("c")) == {"p1", "p2", "p3", "p4", "t1"}
+    assert bfs_distances(g, "p1").get("r") == 4
+    assert g.adjacency["r"] == ("t2",)
+    assert set(g.adjacency["c"]) == {"p1", "p2", "p3", "p4", "t1"}
     with pytest.raises(FixtureError):
         gen_star_path(0, 2)
 
@@ -153,21 +153,21 @@ def test_star_path_shape_and_diameter():
 def test_set_cover_membership_wiring():
     g, sources = gen_set_cover_reduction({1, 2, 3}, [{1, 2}, {2, 3}, {3}])
     assert sources == ["src0"]
-    assert set(g.out_neighbors("src0")) == {"set0", "set1", "set2"}
+    assert set(g.adjacency["src0"]) == {"set0", "set1", "set2"}
     # middle tier reaches peers and exactly its members below
-    assert set(g.out_neighbors("set0")) == {"set1", "set2", "elem0", "elem1"}
-    assert set(g.out_neighbors("set1")) == {"set0", "set2", "elem1", "elem2"}
-    assert set(g.out_neighbors("set2")) == {"set0", "set1", "elem2"}
+    assert set(g.adjacency["set0"]) == {"set1", "set2", "elem0", "elem1"}
+    assert set(g.adjacency["set1"]) == {"set0", "set2", "elem1", "elem2"}
+    assert set(g.adjacency["set2"]) == {"set0", "set1", "elem2"}
     # bottom tier is mute, and nobody reaches back up to the source
     for i in range(3):
-        assert g.out_neighbors(f"elem{i}") == ()
+        assert g.adjacency[f"elem{i}"] == ()
     for j in range(3):
-        assert "src0" not in g.out_neighbors(f"set{j}")
+        assert "src0" not in g.adjacency[f"set{j}"]
 
 
 def test_set_cover_single_set_and_errors():
     g, _ = gen_set_cover_reduction({1, 2}, [{1, 2}])
-    assert set(g.out_neighbors("set0")) == {"elem0", "elem1"}
+    assert set(g.adjacency["set0"]) == {"elem0", "elem1"}
     with pytest.raises(FixtureError, match="cover"):
         gen_set_cover_reduction({1, 2, 3}, [{1}, {2}])
     with pytest.raises(FixtureError):
@@ -182,7 +182,7 @@ def test_set_cover_gossip_variant_builds_source_clique():
     g, sources = gen_set_cover_reduction({1, 2}, [{1}, {2}], gossip_k=3)
     assert sources == ["src0", "src1", "src2"]
     for s in sources:
-        peers = set(g.out_neighbors(s))
+        peers = set(g.adjacency[s])
         assert {"set0", "set1"} <= peers
         assert (set(sources) - {s}) <= peers
         assert not any(e.startswith("elem") for e in peers)

@@ -31,7 +31,7 @@ def reference_greedy_cds(g: NetworkGraph) -> Backbone:
     ids = list(g.node_ids)
     if len(ids) == 1:
         return Backbone(members=(ids[0],), root=ids[0],
-                        parent={ids[0]: None}, origin="greedy")
+                        parent={ids[0]: None})
     white, black, gray = set(ids), set(), set()
 
     def blacken(u):
@@ -61,8 +61,7 @@ def reference_greedy_cds(g: NetworkGraph) -> Backbone:
             blacken(u)
     members = tuple(sorted(black))
     return Backbone(members=members, root=members[0],
-                    parent=build_arborescence(g, members, members[0]),
-                    origin="greedy")
+                    parent=build_arborescence(g, members, members[0]))
 
 
 def reference_pick_sources(g: NetworkGraph, count: int) -> list:

@@ -7,7 +7,7 @@ import pytest
 from rumorcast.cli import main
 from rumorcast.distributed import SimConfig
 from rumorcast.fixtures import gen_ring_fixture, gen_star_path
-from rumorcast.model import NetworkGraph, save_network
+from rumorcast.model import NetworkGraph, network_to_dict
 from rumorcast.scenario import (RESULTS_HEADER, Scenario, ScenarioError,
                                 experiment_csv_rows, run_experiment,
                                 scenario_from_dict, scenario_to_dict)
@@ -64,7 +64,8 @@ def test_scenario_dict_roundtrip():
 
 
 def test_scenario_network_by_file_path(tmp_path):
-    save_network(gen_ring_fixture(9), str(tmp_path / "net.json"))
+    (tmp_path / "net.json").write_text(
+        json.dumps(network_to_dict(gen_ring_fixture(9))))
     sc = scenario_from_dict(
         {"name": "ring", "network": "net.json", "sources": ["hub"],
          "c": 1},
@@ -419,3 +420,42 @@ def test_cli_boolean_number_exits_2(tmp_path, capsys, key):
     (data if key == "c" else data["cfg"])[key] = True
     err = _refused(tmp_path, capsys, data)
     assert err == f"error: {key} must not be a boolean, got True\n"
+
+
+@pytest.mark.parametrize("mode, cfg", [
+    ("distributed-cd", {"mu": 1e308}),
+    ("distributed-nocd", {"degree_knowledge": "supplied",
+                          "supplied_max_degree": 10 ** 400}),
+], ids=["inf-product", "degree-beyond-float"])
+def test_cli_overflowing_slot_count_exits_2(tmp_path, capsys, mode, cfg):
+    # the README demo; ceil() of the slot count used to raise OverflowError
+    spath = tmp_path / "sc.json"
+    assert main(["gen", "udg", "--n", "9", "--seed", "4", "--k", "2",
+                 "--c", "2", "--out", str(spath)]) == 0
+    data = {**json.loads(spath.read_text()), "mode": mode, "cfg": cfg}
+    assert "overflows the slot count" in _refused(tmp_path, capsys, data)
+
+
+def test_cli_one_way_link_exits_2_in_every_mode(tmp_path, capsys):
+    # every backbone kind needs two-way links, centralized runs included
+    for mode in ("centralized", "distributed-cd", "distributed-nocd"):
+        err = _refused(tmp_path, capsys, {
+            "name": "one-way", "mode": mode, "sources": [0], "c": 1,
+            "network": {"adjacency": [[0, [1]], [1, []], [2, [0, 1]]]}})
+        assert "two-way links" in err
+    assert main(["bounds", "--scenario", str(tmp_path / "sc.json")]) == 2
+
+
+def test_cli_one_node_network_meets_its_floors(tmp_path, capsys):
+    spath = str(tmp_path / "one.json")
+    assert main(["gen", "udg", "--n", "1", "--k", "1", "--out", spath]) == 0
+    capsys.readouterr()
+    for mode in ("centralized", "distributed-cd", "distributed-nocd"):
+        assert main(["run", "--scenario", spath, "--mode", mode]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        got = dict(zip(header.split(","), row.split(",")))
+        assert (got["msg_lb"], got["time_lb"]) == ("0", "0")
+        # the centralized schedule still sends its one message to nobody
+        want = "1" if mode == "centralized" else "0"
+        assert got["messages"] == want
+        assert float(got["ratio"]) == int(want)
