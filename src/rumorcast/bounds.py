@@ -173,11 +173,14 @@ def bound_report(g: NetworkGraph, rumor_count: int, compression: int,
         mcds = greedy if greedy is not None else greedy_cds(g)
         exact = False
     message_lb = message_lower_bound(rumor_count, compression, mcds.size)
+    message_formula = "messages>=max(k,ceil(k*(mcds-1)/compression))"
+    if len(g.node_ids) == 1:
+        message_lb = 0
+        message_formula = "messages>=0 (one node holds every rumor)"
     return BoundReport(
-        message_lb=message_lb if len(g.node_ids) > 1 else 0,
+        message_lb=message_lb,
         time_lb=diameter(g),
         mcds_size=mcds.size,
         mcds_is_exact=exact,
-        formulas_used=("messages>=max(k,ceil(k*(mcds-1)/compression))",
-                       "rounds>=network-diameter"),
+        formulas_used=(message_formula, "rounds>=network-diameter"),
     )

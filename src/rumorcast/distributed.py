@@ -19,14 +19,17 @@ tree.  The rounds inside each stage are randomized.
 Every node owns an independent deterministic random stream derived from
 (seed, node id), so runs replay bit-for-bit; a stream is seeded on the
 node's first draw, so nodes that only listen or echo never seed one.  A
-node transmits in at most one slot per round: data senders never echo,
-and ackers never send data.
+slot is drawn as ``randint(1, half)`` would draw it from that stream,
+through ``getrandbits`` directly (see ``_draws``).  A node transmits in at
+most one slot per round: data senders never echo, and ackers never send
+data.
 
 A node holds its rumors as an int bitmask over a ``central.RumorIndex``
-that all states of one run share, so a clean reception is one ``|=`` of
-the batch's cached mask.  A round keeps the raw slot and ack data it
-already computed and builds its ``SlotRecord``s only when they are read,
-which untraced runs never do.
+that all states of one run share.  A round reads each sender's front
+batch mask off the index once, so a clean reception is one ``|=`` of that
+mask.  A round keeps the raw slot and ack data it already computed and
+builds its ``SlotRecord``s only when they are read, which untraced runs
+never do.
 
 Reception in a slot follows ``model.jammed`` over the talkers' reach
 masks: a listener reached by two or more talkers is jammed, one reached by
@@ -110,10 +113,11 @@ class NodeState:
     ``held`` is a bitmask over ``index``, the ``RumorIndex`` that every
     state of one ``init_states`` call shares; ``held_rumors`` reads it as a
     frozenset and can be assigned any iterable of rumors.  ``pending``
-    queues the batches still to send, whose masks ``front_mask`` reads off
-    the shared index, and ``awaiting_ack`` the listeners that must still
-    confirm the front one.  ``rng_stream`` is ``node_rng(seed, node)``,
-    built on the node's first draw.
+    queues the batches still to send, and ``awaiting_ack`` the listeners
+    that must still confirm the front one; ``front_mask`` reads the front
+    batch's mask off the shared index, once per round the node sends.
+    ``rng_stream`` is ``node_rng(seed, node)``, built on the node's first
+    draw.
     """
 
     __slots__ = ("index", "held", "pending", "awaiting_ack", "_seed",
@@ -178,11 +182,13 @@ class RoundLog:
     """What one simulated round did.
 
     ``slots`` holds ``(kind, slot, talkers, deaf, jam)`` for each data or
-    error slot, with the two node masks of ``_slot``, and ``acks`` holds
-    ``(slot, acker, senders reached, senders jammed)`` for each ack, both
-    in trace order.  ``records``, the round's ``SlotRecord``s, is built
-    from them on first read and then cached, so a run that never reads it
-    builds none.
+    error slot, with the two node masks of ``_slot``, in trace order.
+    ``acks`` maps each acker to its ack slot, in trace order, and
+    ``verdicts`` maps an addressed acker to the sorted senders its ack
+    reached and the sorted senders where it was jammed; an acker missing
+    from it reached and was jammed at none.
+    ``records``, the round's ``SlotRecord``s, is built from them on first
+    read and then cached, so a run that never reads it builds none.
     """
 
     succeeded: frozenset
@@ -192,7 +198,8 @@ class RoundLog:
     graph: NetworkGraph = field(repr=False)
     round_index: int
     slots: tuple
-    acks: tuple = ()
+    acks: Mapping = field(default_factory=dict)
+    verdicts: Mapping = field(default_factory=dict)
 
     @cached_property
     def records(self) -> tuple[SlotRecord, ...]:
@@ -206,9 +213,9 @@ class RoundLog:
                 ok = tuple(v for v in reached if not jam >> index[v] & 1)
                 bad = tuple(v for v in reached if jam >> index[v] & 1)
                 records.append(SlotRecord(t, s, u, kind, ok, bad))
-        records.extend(SlotRecord(t, s, v, "ack", tuple(sorted(ok)),
-                                  tuple(sorted(bad)))
-                       for s, v, ok, bad in self.acks)
+        for v, s in self.acks.items():
+            ok, bad = self.verdicts.get(v, ((), ()))
+            records.append(SlotRecord(t, s, v, "ack", tuple(ok), tuple(bad)))
         return tuple(records)
 
 
@@ -257,13 +264,34 @@ def _slot(g: NetworkGraph, talking: list) -> tuple[int, int]:
 def _by_slot(slot_of: Mapping) -> dict[int, list]:
     """Each used slot -> its talkers sorted, keyed in slot order."""
     talkers: dict = {}
-    for u in sorted(slot_of):
-        talkers.setdefault(slot_of[u], []).append(u)
-    return dict(sorted(talkers.items()))
+    for s, u in sorted([(s, u) for u, s in slot_of.items()]):
+        talkers.setdefault(s, []).append(u)
+    return talkers
+
+
+def _draws(states: Mapping, nodes: Iterable, half: int,
+           first: int = 1) -> dict:
+    """Each node's slot in ``first .. first + half - 1``, drawn from its
+    own stream as ``first - 1 + randint(1, half)``, in node order.
+
+    This is the method ``random.Random.randint`` itself uses, without its
+    argument handling: ``getrandbits(k)`` for k the bit length of ``half``
+    until the draw is below ``half``.  Every stream advances exactly as
+    ``randint`` would advance it.
+    """
+    k = half.bit_length()
+    drawn = {}
+    for u in nodes:
+        bits = states[u].rng_stream.getrandbits
+        r = bits(k)
+        while r >= half:
+            r = bits(k)
+        drawn[u] = first + r
+    return drawn
 
 
 def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
-               slots: list) -> tuple[set, dict, int]:
+               front: Mapping, slots: list) -> tuple[set, dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
     A listener that exactly one talker reaches takes the batch.  Appends each
@@ -278,7 +306,7 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
     for s, talking in _by_slot(slot_of).items():
         deaf, jam = _slot(g, talking)
         for u in talking:
-            sent = states[u].front_mask()
+            sent = front[u]
             for v in g.adjacency[u]:
                 bit = 1 << index[v]
                 if bit & jam:
@@ -292,12 +320,12 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
 
 
 def _open_round(g: NetworkGraph, states: Mapping, transmitters: Iterable,
-                cfg: SimConfig, mode: str) -> tuple[list, int, dict]:
+                cfg: SimConfig, mode: str) -> tuple[list, int, dict, dict]:
     """Check a round's transmitters and draw each one's data slot.
 
     Every transmitter must be a known node with a batch to send.  Returns
-    the sorted senders, the slots per half-round and each sender's
-    first-half slot, drawn in sender order.
+    the sorted senders, the slots per half-round, each sender's first-half
+    slot, drawn in sender order, and the mask of its front batch.
     """
     if cfg.mode != mode:
         raise DistributedError(f"run_round_{mode} needs cfg.mode == '{mode}'")
@@ -308,8 +336,8 @@ def _open_round(g: NetworkGraph, states: Mapping, transmitters: Iterable,
         if not states[u].pending:
             raise DistributedError(f"transmitter {u!r} has no batch to send")
     half = slot_count(g, cfg)
-    return senders, half, {u: states[u].rng_stream.randint(1, half)
-                           for u in senders}
+    return (senders, half, _draws(states, senders, half),
+            {u: states[u].front_mask() for u in senders})
 
 
 def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
@@ -325,10 +353,11 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     sender declares success, every neighbor that was listening during its
     slot has received the batch.
     """
-    senders, half, slot_of = _open_round(g, states, transmitters, cfg, "cd")
+    senders, half, slot_of, front = _open_round(g, states, transmitters,
+                                                cfg, "cd")
     slots: list = []
     _, first_collision, collisions_heard = _data_half(g, states, slot_of,
-                                                      slots)
+                                                      front, slots)
 
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
@@ -365,41 +394,41 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     provably holds the whole batch; such listeners leave the list.  A
     transmitter whose list empties pops its batch.
     """
-    senders, half, slot_of = _open_round(g, states, transmitters, cfg,
-                                         "nocd")
+    senders, half, slot_of, front = _open_round(g, states, transmitters,
+                                                cfg, "nocd")
     for u in senders:
         if not states[u].awaiting_ack:
             raise DistributedError(f"transmitter {u!r} has nobody to address")
-        extra = states[u].awaiting_ack - set(g.adjacency[u])
+        extra = states[u].awaiting_ack.difference(g.adjacency[u])
         if extra:
             raise DistributedError(
                 f"transmitter {u!r} addresses non-neighbors {sorted(extra, key=str)}")
     slots: list = []
-    got_data, _, collisions_heard = _data_half(g, states, slot_of, slots)
+    got_data, _, collisions_heard = _data_half(g, states, slot_of, front,
+                                               slots)
 
     # every listener that received data this round acks once; ackers are
     # never simultaneously data senders, so one slot each suffices
-    ackers = sorted(v for v in got_data if v not in slot_of)
-    ack_slot = {v: half + states[v].rng_stream.randint(1, half)
-                for v in ackers}
-    listed_by = {v: [u for u in senders if v in states[u].awaiting_ack]
-                 for v in ackers}
-    sharing = _by_slot(ack_slot)
-    acks = []
-    for v in ackers:
-        ok = []
-        bad = []
-        for u in listed_by[v]:
+    ackers = sorted(got_data.difference(slot_of))
+    ack_slot = _draws(states, ackers, half, half + 1)
+    sharing: dict = {}
+    for v, s in ack_slot.items():
+        sharing.setdefault(s, []).append(v)
+    # sender by sender, so each acker's verdict lists come out sorted; the
+    # walk copies the list because an acked listener leaves it at once
+    verdicts: dict = {}  # addressed acker -> (senders reached, jammed)
+    for u in senders:
+        waiting = states[u].awaiting_ack
+        for v in [v for v in waiting if v in ack_slot]:
             rivals = [z for z in sharing[ack_slot[v]]
                       if z != v
                       and (z in g.adjacency[v] or u in g.adjacency[z])]
             if rivals:
-                bad.append(u)
+                verdicts.setdefault(v, ([], []))[1].append(u)
                 collisions_heard += 1
-            elif not states[u].front_mask() & ~states[v].held:
-                ok.append(u)
-                states[u].awaiting_ack.discard(v)
-        acks.append((ack_slot[v], v, ok, bad))
+            elif not front[u] & ~states[v].held:
+                verdicts.setdefault(v, ([], []))[0].append(u)
+                waiting.discard(v)
 
     succeeded = set()
     for u in senders:
@@ -411,7 +440,7 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
                     control_messages=len(ackers),
                     collisions_heard=collisions_heard, graph=g,
                     round_index=round_index, slots=tuple(slots),
-                    acks=tuple(acks))
+                    acks=ack_slot, verdicts=verdicts)
 
 
 def _collection_stages(plan: Plan):
@@ -516,11 +545,12 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
             data_messages += log.data_messages
             control_messages += log.control_messages
             collisions_heard += log.collisions_heard
+            failed = active - log.succeeded
             for u in log.succeeded:
                 if states[u].pending:
                     states[u].awaiting_ack = set(audience_of[u])
-            failed = active - log.succeeded
-            active = {u for u in active if states[u].pending}
+                else:
+                    active.discard(u)
         if out_of_time:
             break
 

@@ -205,6 +205,18 @@ def test_bound_report_flags_estimated_mcds_on_big_networks():
     assert report.time_lb == 9
 
 
+def test_bound_report_names_the_one_node_case():
+    g = NetworkGraph.from_adjacency({"solo": []})
+    report = bound_report(g, rumor_count=3, compression=2)
+    assert report.message_lb == 0
+    assert report.time_lb == 0
+    assert report.formulas_used == ("messages>=0 (one node holds every rumor)",
+                                    "rounds>=network-diameter")
+    two = bound_report(path4(), rumor_count=3, compression=2)
+    assert two.formulas_used[0] == (
+        "messages>=max(k,ceil(k*(mcds-1)/compression))")
+
+
 def test_bound_report_serializes():
     report = bound_report(path4(), rumor_count=2, compression=1)
     data = report.to_dict()

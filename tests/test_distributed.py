@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rumorcast.backbone import brute_force_mcds, greedy_cds
-from rumorcast.central import Batch, Rumor
+from rumorcast.central import Batch, Rumor, RumorIndex
 from rumorcast.distributed import (
+    _draws,
     DistMetrics,
     DistributedError,
     NodeState,
@@ -88,6 +89,34 @@ def test_node_rng_is_process_stable():
     draws = [[rng.random() for _ in range(8)]
              for rng in (node_rng(7, "x"), node_rng(8, "x"))]
     assert draws[0] != draws[1]
+
+
+SLOT_HALVES = [*range(1, 71), 127, 128, 129, 1023, 1024, 1025, 10 ** 6,
+               2 ** 40 + 3]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 31 + 5])
+def test_slot_draws_are_randint_draws(seed):
+    # the slot draw must consume each stream exactly as randint(1, half):
+    # same value, and the same value from the stream's next random()
+    nodes = [0, 3, 41, "a", "hub"]
+
+    def fresh():
+        index = RumorIndex()
+        return {u: NodeState(index, seed, u) for u in nodes}
+
+    kept = fresh()
+    kept_ref = {u: node_rng(seed, u) for u in nodes}
+    for half in SLOT_HALVES:
+        # streams not yet seeded, then streams that drew every smaller half
+        unseeded = (fresh(), {u: node_rng(seed, u) for u in nodes})
+        for states, refs in (unseeded, (kept, kept_ref)):
+            assert _draws(states, nodes, half) == {
+                u: refs[u].randint(1, half) for u in nodes}
+            assert _draws(states, nodes, half, half + 1) == {
+                u: half + refs[u].randint(1, half) for u in nodes}
+            for u in nodes:
+                assert states[u].rng_stream.random() == refs[u].random()
 
 
 def test_cd_single_transmitter_succeeds_in_one_round():

@@ -9,7 +9,8 @@ run several consecutive rounds and must agree on the records, the
 outcome counts, every node's holdings, queue and address list, and the
 next draw of every node's stream.  The same check runs on random directed
 graphs, where one-way links make a listener's talkers differ from the
-nodes it reaches.
+nodes it reaches, and on one fixed NoCD round in which three senders
+address one acker and a rival acker jams only the middle sender's ack.
 """
 
 from collections import deque
@@ -268,3 +269,32 @@ def check_rounds(instance, data):
     for u in g.node_ids:
         assert new[u].rng_stream.random() == ref[u].rng_stream.random(), u
 
+
+def test_ack_verdicts_keep_sender_order():
+    # "a", "b" and "c" each send one batch to "v" in their own data slot;
+    # "b" also addresses "z", its only neighbor.  Seed 0 puts the acks of
+    # "v" and "z" in one slot, which jams "b" (a neighbor of "z") but not
+    # "a" or "c", so the acker's verdicts split around the middle sender.
+    g = NetworkGraph.from_adjacency({"v": ["a", "b", "c"], "a": ["v"],
+                                     "b": ["v", "z"], "c": ["v"],
+                                     "z": ["b"]})
+    cfg = SimConfig(slot_factor=1.0, mode="nocd", seed=0)
+    ref = ref_states(g, cfg)
+    new = init_states(g, cfg)
+    for u in "abc":
+        batch = Batch((Rumor(u, 0),))
+        for states in (ref, new):
+            states[u].pending = deque([batch])
+            states[u].awaiting_ack = {"v", "z"} & set(g.adjacency[u])
+    want = ref_round_nocd(g, ref, "cba", cfg)
+    got = run_round_nocd(g, new, "cba", cfg)
+    assert ([r.to_json() for r in got.records]
+            == [r.to_json() for r in want.records])
+    acks = {r.transmitter: r for r in got.records if r.kind == "ack"}
+    assert acks["v"].slot == acks["z"].slot
+    assert acks["v"].receivers_ok == ("a", "c")
+    assert acks["v"].receivers_collided == ("b",)
+    assert acks["z"].receivers_collided == ("b",)
+    assert got.succeeded == want.succeeded == {"a", "c"}
+    assert got.collisions_heard == want.collisions_heard
+    same_nodes(g, ref, new)
