@@ -18,18 +18,17 @@ by unit, children before parents, and pipelines its chunks down; the
 distributed simulator runs the same ``Plan`` with slotted rounds.
 
 A ``Rumor`` is a named tuple, so the planner and the collection heap sort
-and compare rumors directly.  ``simulate_schedule`` indexes the schedule's
-rumors densely with a ``RumorIndex`` (which the distributed simulator uses
-too) and holds each node's rumors as one int bitmask; ``Metrics`` keeps the
-final masks and a log of the receptions that brought something new, each
-holding the received batch's mask, and builds its per-rumor
-``delivery_time`` view only when it is read.
+and compare rumors directly.  ``simulate_schedule`` holds a schedule's
+outcome transposed: one node mask per rumor of the nodes that received it
+cleanly, and one of the nodes that heard it only through a jam, so a
+clean transmission is at most c big-int ORs whatever the sender's degree.
+``Metrics`` keeps the clean masks; ``RumorIndex`` gives the distributed
+simulator its dense bit per rumor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -130,49 +129,25 @@ class RumorIndex:
 class Metrics:
     """Outcome of simulating a schedule.
 
-    Holdings are int bitmasks over ``rumors``, the schedule's rumors in
-    order of first appearance: bit i of ``held[v]`` is set when node v
-    actually holds ``rumors[i]`` at the end.  ``arrivals`` logs, in
-    execution order, each ``(round, node, mask)`` reception that brought
-    the node at least one rumor, the sources at round 0 first; the mask is
-    the whole received batch's, one int object shared by every entry of
-    that transmission, so it may hold rumors the node already had.
-    ``delivery_time`` maps each rumor to its actual holders and the round
-    each first held it; it is rebuilt on first use by replaying
-    ``arrivals`` against a running mask per node, and then cached.
+    ``rumors`` are the schedule's rumors in order of first appearance, and
+    ``node_ids`` the graph's nodes in mask bit order.  ``holders[i]`` is
+    the node mask of ``rumors[i]``'s holders at the end: its source and
+    every node that received it cleanly at least once.
     """
 
     messages: int
     makespan: int
     collisions: int
     rumors: tuple[Rumor, ...]
-    held: Mapping[int | str, int]
-    arrivals: tuple[tuple[int, int | str, int], ...]
-
-    @cached_property
-    def delivery_time(self) -> Mapping[Rumor, Mapping[int | str, int]]:
-        delivery: dict[Rumor, dict] = {r: {} for r in self.rumors}
-        have: dict = {}
-        for t, v, mask in self.arrivals:
-            h = have.get(v, 0)
-            have[v] = h | mask
-            for r in rumors_in(self.rumors, mask & ~h):
-                delivery[r][v] = t
-        return delivery
-
-    def nodes_holding(self, rumor: Rumor) -> frozenset:
-        return frozenset(self.delivery_time.get(rumor, {}))
+    holders: tuple[int, ...]
+    node_ids: tuple[int | str, ...]
 
     def holds_all(self, rumors: Iterable[Rumor]) -> bool:
         """Whether every node holds each of ``rumors``; a rumor that the
         schedule never carries is held by no one."""
-        index = {r: i for i, r in enumerate(self.rumors)}
-        want = 0
-        for r in rumors:
-            if r not in index:
-                return False
-            want |= 1 << index[r]
-        return all(mask & want == want for mask in self.held.values())
+        everyone = (1 << len(self.node_ids)) - 1
+        held = dict(zip(self.rumors, self.holders))
+        return all(r in held and held[r] == everyone for r in rumors)
 
 
 def _rounds_from_map(by_round: Mapping[int, list[Transmission]]) -> Schedule:
@@ -412,68 +387,72 @@ def simulate_schedule(g: NetworkGraph, sched: Schedule,
     receptions succeed.  With ``interference=True`` a reception is jammed
     when the receiver hears more than one sender of the round; each jammed
     reception counts as one collision (losses are counted, not propagated).
-    A rumor's source holds it at round 0.
+    A rumor's source holds it at round 0.  Unknown rumor sources are
+    reported first, in order of first appearance; then each round checks,
+    transmission by transmission, for an unknown sender, a sender sending
+    twice and the first rumor of the batch that the sender lacks, all
+    before the round's receptions.
 
-    Each rumor gets a dense index and each transmission's batch one mask.
-    A node's actual holdings are one int bitmask, and
-    ``lost`` keeps the rumors only jammed receptions brought it, so its
-    planned holdings are ``held | lost``.  A round's jammed listeners are
-    one node mask (``model.jammed``); only a sender whose reach meets it
-    tests its listeners one by one, and after ``make_collision_free`` none
-    does.  A clean reception that brings something new logs the batch's
-    mask.  See ``Metrics`` for what is kept.
+    Rumor i keeps two node masks: ``holders[i]``, its clean receptions,
+    and ``lost[i]``, its jammed ones; a sender plans to hold the rumor when
+    its bit is set in either.  Each distinct batch maps once to the tuple
+    of its rumors' indexes; the distribution chunks are shared batches, so
+    most transmissions find theirs cached.  A round's jammed listeners are
+    one node mask (``model.jammed``), and a transmission ORs the sender's
+    reach minus that mask into each of its rumors' ``holders`` and the
+    jammed part into their ``lost``.
     """
-    index = RumorIndex()
-    masks = [[index.mask(tx.batch.rumors) for tx in rnd]
-             for rnd in sched.rounds]
-    rumors = tuple(index.rumors)
-    held = dict.fromkeys(g.node_ids, 0)
-    arrivals = []
-    for i, r in enumerate(rumors):
-        if r.source not in g.adjacency:
+    bit: dict[Rumor, int] = {}
+    bits_of: dict[tuple[Rumor, ...], tuple[int, ...]] = {}
+    rows = []
+    for rnd in sched.rounds:
+        row = []
+        for tx in rnd:
+            key = tx.batch.rumors
+            bits = bits_of.get(key)
+            if bits is None:
+                bits = bits_of[key] = tuple(bit.setdefault(r, len(bit))
+                                            for r in key)
+            row.append(bits)
+        rows.append(row)
+    rumors = tuple(bit)
+    index = g.node_index
+    for r in rumors:
+        if r.source not in index:
             raise ScheduleError(f"rumor source {r.source!r} unknown")
-        held[r.source] |= 1 << i
-        arrivals.append((0, r.source, 1 << i))
-    lost: dict = {}
+    holders = [1 << index[r.source] for r in rumors]
+    lost = [0] * len(rumors)
 
-    adjacency = g.adjacency
+    reach = g.reach
     collisions = 0
-    for t, (rnd, row) in enumerate(zip(sched.rounds, masks), start=1):
+    for t, (rnd, row) in enumerate(zip(sched.rounds, rows), start=1):
         seen = set()
-        for tx, b in zip(rnd, row):
+        for tx, bits in zip(rnd, row):
             s = tx.sender
-            if s not in adjacency:
+            if s not in index:
                 raise ScheduleError(f"round {t}: unknown sender {s!r}")
             if s in seen:
                 raise ScheduleError(f"round {t}: sender {s!r} transmits twice")
             seen.add(s)
-            lacking = b & ~(held[s] | lost.get(s, 0))
-            if lacking:
-                missing = next(r for r in tx.batch.rumors
-                               if lacking >> index.bit[r] & 1)
-                raise ScheduleError(
-                    f"round {t}: sender {s!r} does not hold {missing}")
-        jam = jammed(g, (tx.sender for tx in rnd)) if interference else 0
-        for tx, b in zip(rnd, row):
-            listeners = adjacency[tx.sender]
-            if jam and g.reach[tx.sender] & jam:
-                clean = []
-                for v in listeners:
-                    if jam >> g.node_index[v] & 1:
-                        collisions += 1
-                        lost[v] = lost.get(v, 0) | b
-                    else:
-                        clean.append(v)
-                listeners = clean
-            for v in listeners:
-                h = held[v]
-                got = h | b
-                if got != h:
-                    held[v] = got
-                    arrivals.append((t, v, b))
+            at = index[s]
+            for i in bits:
+                if not (holders[i] >> at & 1 or lost[i] >> at & 1):
+                    raise ScheduleError(
+                        f"round {t}: sender {s!r} does not hold {rumors[i]}")
+        jam = jammed(g, seen) if interference else 0
+        for tx, bits in zip(rnd, row):
+            clean = reach[tx.sender]
+            hit = clean & jam
+            if hit:
+                collisions += hit.bit_count()
+                clean ^= hit
+                for i in bits:
+                    lost[i] |= hit
+            for i in bits:
+                holders[i] |= clean
     return Metrics(messages=sched.message_count, makespan=sched.makespan,
-                   collisions=collisions, rumors=rumors, held=held,
-                   arrivals=tuple(arrivals))
+                   collisions=collisions, rumors=rumors,
+                   holders=tuple(holders), node_ids=g.node_ids)
 
 
 # --- serialization ---------------------------------------------------------

@@ -35,7 +35,6 @@ from rumorcast.bounds import (
 )
 from rumorcast.central import (
     Batch,
-    Metrics,
     Rumor,
     Schedule,
     broadcast_schedule,
@@ -56,6 +55,8 @@ from rumorcast.fixtures import (
 from rumorcast.model import NetworkGraph, diameter
 from rumorcast.scenario import Scenario, experiment_csv_rows, run_experiment, scenario_to_dict
 from rumorcast.search import min_makespan_schedule
+
+from reception_reference import delivery_times
 
 SWEEP_SIZE = 200
 SWEEP_RADIUS = 0.45
@@ -121,10 +122,12 @@ def interference_cap(g: NetworkGraph, sched: Schedule) -> int:
     return cap
 
 
-def assert_delivered(g: NetworkGraph, sched: Schedule, met: Metrics) -> None:
+def assert_delivered(g: NetworkGraph, sched: Schedule, *,
+                     interference: bool = False) -> None:
     everyone = set(g.node_ids)
+    delivery = delivery_times(g, sched, interference=interference)
     for r in sched.rumors():
-        assert set(met.nodes_holding(r)) == everyone
+        assert set(delivery[r]) == everyone
 
 
 @dataclass(frozen=True)
@@ -231,14 +234,14 @@ def test_criterion_03_path_broadcast_message_counts():
     opt = brute_force_mcds(g)
     sched = broadcast_schedule(g, opt, leaf)
     met = simulate_schedule(g, sched)
-    assert_delivered(g, sched, met)
+    assert_delivered(g, sched)
     assert met.messages == opt.size + 1
 
     g2, internal = gen_internal_source_path()
     opt2 = brute_force_mcds(g2)
     sched2 = broadcast_schedule(g2, opt2, internal)
     met2 = simulate_schedule(g2, sched2)
-    assert_delivered(g2, sched2, met2)
+    assert_delivered(g2, sched2)
     assert met2.messages == opt2.size
     print(f"criterion 3 PASS: leaf source broadcast in {met.messages} messages "
           f"(optimum {opt.size}+1), internal source in {met2.messages}")
@@ -283,7 +286,7 @@ def test_criterion_06_collision_free_transform(multibroadcast_runs):
             safe = make_collision_free(run.inst.g, orig)
             met = simulate_schedule(run.inst.g, safe, interference=True)
             assert met.collisions == 0
-            assert_delivered(run.inst.g, safe, met)
+            assert_delivered(run.inst.g, safe, interference=True)
             cap = interference_cap(run.inst.g, orig)
             assert safe.makespan <= cap * orig.makespan
             checked += 1
@@ -401,7 +404,7 @@ def test_criterion_09_lower_bound_sanity(multibroadcast_runs):
         floor = message_lower_bound(run.k, run.c, run.inst.oracle.size)
         for label in BACKBONE_LABELS:
             met = run.metrics[label]
-            assert_delivered(run.inst.g, run.sched[label], met)
+            assert_delivered(run.inst.g, run.sched[label])
             if met.messages < floor:
                 violations += 1
             if met.makespan < run.inst.diam:

@@ -22,6 +22,9 @@ from rumorcast.central import (
     simulate_schedule,
 )
 
+from reception_reference import (arrival_simulate, delivery_times,
+                                 transposed_holders)
+
 
 def path4():
     g = NetworkGraph.from_adjacency(
@@ -59,10 +62,10 @@ def test_broadcast_from_a_leaf_costs_membercount_plus_one():
     sched = broadcast_schedule(g, bb, "a")
     assert tx_senders(sched) == [["a"], ["b"], ["c"]]
     assert sched.message_count == 3
-    metrics = simulate_schedule(g, sched)
-    rumor = Rumor("a", 0)
-    assert metrics.nodes_holding(rumor) == {"a", "b", "c", "d"}
-    assert metrics.delivery_time[rumor] == {"a": 0, "b": 1, "c": 2, "d": 3}
+    assert simulate_schedule(g, sched).holds_all([Rumor("a", 0)])
+    delivery = delivery_times(g, sched)[Rumor("a", 0)]
+    assert delivery.keys() == {"a", "b", "c", "d"}
+    assert delivery == {"a": 0, "b": 1, "c": 2, "d": 3}
 
 
 def test_broadcast_from_a_member_skips_the_hop():
@@ -70,7 +73,7 @@ def test_broadcast_from_a_member_skips_the_hop():
     sched = broadcast_schedule(g, bb, "b")
     assert tx_senders(sched) == [["b"], ["c"]]
     assert sched.message_count == 2
-    assert simulate_schedule(g, sched).nodes_holding(Rumor("b", 0)) == \
+    assert delivery_times(g, sched)[Rumor("b", 0)].keys() == \
         {"a", "b", "c", "d"}
 
 
@@ -89,9 +92,9 @@ def test_star_gather_and_one_chunk_down():
     assert sched.message_count == 4  # three up, one combined chunk down
     assert sched.makespan == 2
     assert tx_senders(sched) == [["l0", "l1", "l2"], ["hub"]]
-    metrics = simulate_schedule(g, sched)
+    delivery = delivery_times(g, sched)
     for r in sched.rumors():
-        assert metrics.nodes_holding(r) == set(g.node_ids)
+        assert delivery[r].keys() == set(g.node_ids)
 
 
 def test_single_source_delegates_to_broadcast():
@@ -116,8 +119,9 @@ def test_relay_sends_exactly_ceil_of_subtree_over_c():
     assert sched.message_count == 11
     metrics = simulate_schedule(g, sched)
     assert metrics.collisions == 0
+    delivery = delivery_times(g, sched)
     for r in sched.rumors():
-        assert metrics.nodes_holding(r) == set(g.node_ids)
+        assert delivery[r].keys() == set(g.node_ids)
     assert len(sched.rumors()) == k
 
 
@@ -213,8 +217,8 @@ def test_forwarding_after_reception_is_causal():
         (Transmission("a", Batch((Rumor("a", 0),))),),
         (Transmission("b", Batch((Rumor("a", 0),))),),
     ))
-    metrics = simulate_schedule(g, ok)
-    assert metrics.delivery_time[Rumor("a", 0)]["c"] == 2
+    simulate_schedule(g, ok)
+    assert delivery_times(g, ok)[Rumor("a", 0)]["c"] == 2
 
 
 def test_duplicate_sender_in_a_round_is_rejected():
@@ -267,12 +271,13 @@ def test_interference_counts_losses_without_propagating_them():
     ))
     quiet = simulate_schedule(g, sched)
     assert quiet.collisions == 0
-    assert quiet.nodes_holding(ra) == {"a", "b"}
+    assert delivery_times(g, sched)[ra].keys() == {"a", "b"}
     noisy = simulate_schedule(g, sched, interference=True)
     # b loses both; c -> d is clean since d hears only c
     assert noisy.collisions == 2
-    assert noisy.nodes_holding(ra) == {"a"}
-    assert noisy.nodes_holding(rc) == {"c", "d"}
+    noisy_delivery = delivery_times(g, sched, interference=True)
+    assert noisy_delivery[ra].keys() == {"a"}
+    assert noisy_delivery[rc].keys() == {"c", "d"}
 
 
 def test_makespan_and_message_count_come_from_the_schedule():
@@ -321,8 +326,9 @@ def test_multibroadcast_delivers_everything_within_message_budget(case):
     metrics = simulate_schedule(g, sched)
     rumors = sched.rumors()
     assert len(rumors) == len(sources)
+    delivery = delivery_times(g, sched)
     for r in rumors:
-        assert metrics.nodes_holding(r) == set(g.node_ids)
+        assert delivery[r].keys() == set(g.node_ids)
     k = len(sources)
     chunks = math.ceil(k / c)
     assert metrics.messages <= 2 * bb.size * chunks + k * (1 + 1.0 / c)
@@ -360,7 +366,8 @@ def test_broadcast_reaches_every_node(g, data):
     source = data.draw(st.sampled_from(sorted(g.node_ids)))
     sched = broadcast_schedule(g, bb, source)
     metrics = simulate_schedule(g, sched)
-    assert metrics.nodes_holding(Rumor(source, 0)) == set(g.node_ids)
+    assert delivery_times(g, sched)[Rumor(source, 0)].keys() == \
+        set(g.node_ids)
     assert metrics.messages <= bb.size + 1
 
 
@@ -380,7 +387,7 @@ def test_run_experiment_never_builds_the_delivery_view(monkeypatch):
                            compression=2)
     assert scenario.run_experiment(sc, [0, 1]).ok
     assert len(seen) == 1
-    assert "delivery_time" not in seen[0].__dict__
+    assert not hasattr(seen[0], "delivery_time")
 
 
 def test_holds_all_reads_the_masks():
@@ -397,9 +404,10 @@ def test_holds_all_reads_the_masks():
     assert not metrics.holds_all([ra, rb])  # b's rumor never reaches d
     assert not metrics.holds_all([ra, rc])  # c's rumor is not scheduled
     assert not metrics.holds_all([Rumor("a", 1)])
-    assert "delivery_time" not in metrics.__dict__
-    assert metrics.nodes_holding(rb) == {"a", "b", "c"}
-    assert metrics.nodes_holding(rc) == frozenset()
+    assert not hasattr(metrics, "delivery_time")
+    delivery = delivery_times(g, sched)
+    assert delivery[rb].keys() == {"a", "b", "c"}
+    assert delivery.get(rc, {}).keys() == frozenset()
 
 
 def replay_delivery(g, sched, rumor):
@@ -430,5 +438,8 @@ def test_gossip_on_a_thousand_node_udg():
     assert metrics.messages == sched.message_count
     rumors = [Rumor(s, i) for i, s in enumerate(sources)]
     assert metrics.holds_all(rumors)
+    reference = arrival_simulate(g, safe, interference=True)
+    assert metrics.rumors == reference.rumors
+    assert metrics.holders == transposed_holders(g, reference)
     for r in (rumors[0], rumors[n // 2], rumors[-1]):
-        assert metrics.delivery_time[r] == replay_delivery(g, safe, r)
+        assert reference.delivery_time[r] == replay_delivery(g, safe, r)

@@ -23,7 +23,7 @@ from rumorcast.distributed import (
 )
 from rumorcast.model import NetworkGraph
 
-from reception_reference import hearing
+from reception_reference import delivery_times, hearing, holder_sets
 
 
 @st.composite
@@ -120,7 +120,8 @@ def test_jam_rule_matches_pairwise_scan(g, data):
     got = simulate_schedule(g, sched, interference=True)
     collisions, delivery = pairwise_receptions(g, sched)
     assert got.collisions == collisions
-    assert got.delivery_time == delivery
+    assert delivery_times(g, sched, interference=True) == delivery
+    assert holder_sets(got) == {r: frozenset(d) for r, d in delivery.items()}
 
 
 # --- graphs from the public constructor ------------------------------------

@@ -17,11 +17,16 @@ from rumorcast.model import NetworkGraph, bfs_distances, is_strongly_connected
 from rumorcast.search import (SearchError, min_makespan_schedule,
                               min_message_schedule)
 
+from reception_reference import delivery_times
+
 
 def delivered_everywhere(g, sched, rumors):
     metrics = simulate_schedule(g, sched, interference=False)
+    delivery = delivery_times(g, sched, interference=False)
     nodes = frozenset(g.node_ids)
-    return all(metrics.nodes_holding(r) == nodes for r in rumors)
+    reached = all(delivery.get(r, {}).keys() == nodes for r in rumors)
+    assert metrics.holds_all(rumors) == reached
+    return reached
 
 
 def test_rejects_malformed_instances():

@@ -3,8 +3,10 @@
 ``reference_simulate`` below is the earlier implementation: one set of
 planned holdings per node and one ``{node: round}`` map per rumor.  On
 random schedules with several senders per round, with interference on and
-off, the two must agree on messages, makespan, collisions and delivery
-times, and must raise the same ``ScheduleError`` with the same message.
+off, the two must agree on messages, makespan, collisions and each
+rumor's holders, and must raise the same ``ScheduleError`` with the same
+message; the test-side replay ``delivery_times`` must give its delivery
+times.
 """
 
 import pytest
@@ -14,7 +16,8 @@ from rumorcast.central import (Batch, Rumor, Schedule, ScheduleError,
                                Transmission, simulate_schedule)
 from rumorcast.model import NetworkGraph
 
-from reception_reference import hearing
+from reception_reference import (arrival_simulate, delivery_times, hearing,
+                                 holder_sets, transposed_holders)
 
 
 def reference_simulate(g, sched, *, interference=False):
@@ -64,8 +67,9 @@ def outcome(simulate, g, sched, interference):
     except ScheduleError as exc:
         return type(exc), str(exc)
     if isinstance(got, tuple):
-        return got
-    return got.messages, got.makespan, got.collisions, got.delivery_time
+        *counts, delivery = got
+        return (*counts, {r: frozenset(d) for r, d in delivery.items()})
+    return got.messages, got.makespan, got.collisions, holder_sets(got)
 
 
 @st.composite
@@ -121,6 +125,8 @@ def test_causal_schedules_match_reference(g, data, interference):
     want = outcome(reference_simulate, g, sched, interference)
     assert isinstance(want, tuple) and len(want) == 4
     assert outcome(simulate_schedule, g, sched, interference) == want
+    assert delivery_times(g, sched, interference=interference) == \
+        reference_simulate(g, sched, interference=interference)[3]
 
 
 @given(digraphs(), st.data(), st.booleans())
@@ -181,6 +187,34 @@ def test_clean_reception_after_a_jam_delivers():
     ))
     got = simulate_schedule(g, sched, interference=True)
     assert got.collisions == 2
-    assert got.delivery_time[ra] == {"a": 0, "b": 2}
+    assert delivery_times(g, sched, interference=True)[ra] == {"a": 0, "b": 2}
     assert outcome(simulate_schedule, g, sched, True) == \
         outcome(reference_simulate, g, sched, True)
+
+
+# --- node masks per rumor against the per-node arrival log ------------------
+
+def run(simulate, g, sched, interference):
+    try:
+        return simulate(g, sched, interference=interference)
+    except ScheduleError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+@given(g=digraphs(), data=st.data(), interference=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_node_masks_match_arrival_log(faulty, g, data, interference):
+    sched = random_schedule(data, g, faulty=faulty)
+    want = run(arrival_simulate, g, sched, interference)
+    got = run(simulate_schedule, g, sched, interference)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.messages, got.makespan, got.collisions, got.rumors) == \
+        (want.messages, want.makespan, want.collisions, want.rumors)
+    assert got.holders == transposed_holders(g, want)
+    probes = [[], list(want.rumors), *([r] for r in want.rumors),
+              [Rumor(len(g.node_ids) + 7, 0)]]
+    for rumors in probes:
+        assert got.holds_all(rumors) == want.holds_all(rumors)
