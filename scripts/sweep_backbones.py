@@ -42,7 +42,7 @@ def sweep_row(seed: int, n: int, args) -> tuple:
     g = gen_random_udg(n, args.radius, area_side=args.area, seed=seed,
                        connect_retry=args.retry)
     greedy = greedy_cds(g)
-    bounded = bounded_diameter_cds(g, greedy)
+    bounded = bounded_diameter_cds(g)
     if len(g.node_ids) <= BRUTE_FORCE_NODE_LIMIT:
         oracle_size = brute_force_mcds(g).size
     else:

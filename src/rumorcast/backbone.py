@@ -179,6 +179,14 @@ def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
 
 
 def greedy_cds(g: NetworkGraph) -> Backbone:
+    """``_greedy_cds(g)``, built once per graph and kept in the graph's
+    instance dict, where its diameter and connectivity are cached too."""
+    if "_greedy_cds" not in vars(g):
+        vars(g)["_greedy_cds"] = _greedy_cds(g)
+    return vars(g)["_greedy_cds"]
+
+
+def _greedy_cds(g: NetworkGraph) -> Backbone:
     """Grow a connected dominating set by repeated best-coverage picks.
 
     Starts from the node covering the most nodes (itself plus neighbors:

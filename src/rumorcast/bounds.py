@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .backbone import (BRUTE_FORCE_NODE_LIMIT, Backbone, brute_force_mcds,
-                       greedy_cds)
+from .backbone import BRUTE_FORCE_NODE_LIMIT, brute_force_mcds, greedy_cds
 from .model import NetworkGraph, diameter
 
 
@@ -154,23 +153,21 @@ class BoundReport:
                 "formulas_used": list(self.formulas_used)}
 
 
-def bound_report(g: NetworkGraph, rumor_count: int, compression: int,
-                 greedy: Backbone | None = None) -> BoundReport:
+def bound_report(g: NetworkGraph, rumor_count: int,
+                 compression: int) -> BoundReport:
     """Compute the message and time floors for one instance.
 
     Uses the exact minimum connected dominating set when the network is
     small enough to enumerate, otherwise the greedy one, and flags which.
-    A caller that already built the greedy backbone passes it as
-    ``greedy``, which must be ``greedy_cds(g)`` of this same graph; without
-    it the backbone is built here.  The time floor is the diameter, which
-    is cached on the graph.  On a one-node network the only node already
-    holds every rumor, so the message floor is 0.
+    The greedy backbone and the diameter, the time floor, are both cached
+    on the graph.  On a one-node network the only node already holds every
+    rumor, so the message floor is 0.
     """
     if len(g.node_ids) <= BRUTE_FORCE_NODE_LIMIT:
         mcds = brute_force_mcds(g)
         exact = True
     else:
-        mcds = greedy if greedy is not None else greedy_cds(g)
+        mcds = greedy_cds(g)
         exact = False
     message_lb = message_lower_bound(rumor_count, compression, mcds.size)
     message_formula = "messages>=max(k,ceil(k*(mcds-1)/compression))"

@@ -12,24 +12,24 @@ round's reach masks into the mask of listeners reached twice, and
 ``make_collision_free`` keeps each sub-round's listeners as one mask.
 
 Multi-broadcast is planned once by ``plan_multibroadcast``: the collection
-tree, subtree loads, member depths, pruned distribution senders and fixed
-chunks.  ``multibroadcast_schedule`` times that ``Plan``'s collection unit
-by unit, children before parents, and pipelines its chunks down; the
-distributed simulator runs the same ``Plan`` with slotted rounds.
+tree and its bands, subtree loads, member depths, pruned distribution
+senders and fixed chunks.  ``multibroadcast_schedule`` times that
+``Plan``'s collection unit by unit, band by band, and pipelines its chunks
+down; the distributed simulator runs the same ``Plan`` with slotted rounds.
 
 A ``Rumor`` is a named tuple, so the planner and the collection heap sort
 and compare rumors directly.  ``simulate_schedule`` holds a schedule's
 outcome transposed: one node mask per rumor of the nodes that received it
 cleanly, and one of the nodes that heard it only through a jam, so a
 clean transmission is at most c big-int ORs whatever the sender's degree.
-``Metrics`` keeps the clean masks; ``RumorIndex`` gives the distributed
-simulator its dense bit per rumor.
+``Metrics`` keeps the clean masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -98,31 +98,6 @@ def rumors_in(rumors: Sequence[Rumor], mask: int) -> Iterator[Rumor]:
         low = mask & -mask
         yield rumors[low.bit_length() - 1]
         mask ^= low
-
-
-class RumorIndex:
-    """A dense bit per rumor.
-
-    Rumors get bits in order of first registration; ``rumors[i]`` is the
-    rumor of bit i.
-    """
-
-    __slots__ = ("rumors", "bit")
-
-    def __init__(self):
-        self.rumors: list[Rumor] = []
-        self.bit: dict[Rumor, int] = {}
-
-    def mask(self, rumors: Iterable[Rumor]) -> int:
-        """The mask of ``rumors``, registering the ones not yet indexed."""
-        mask = 0
-        for r in rumors:
-            i = self.bit.get(r)
-            if i is None:
-                i = self.bit[r] = len(self.rumors)
-                self.rumors.append(r)
-            mask |= 1 << i
-        return mask
 
 
 @dataclass(frozen=True)
@@ -206,9 +181,12 @@ class Plan:
     hold each unit's own rumors and its whole subtree's rumors, sorted.
     ``depth`` is the backbone's cached ``Backbone.depth``: each member's hop
     depth below the root, keyed in root-first order, so its keys grouped by
-    value are the depth bands.  ``senders`` are the members left to
-    distribute after pruning; pruning removes only leaves, so a sender's
-    depth in the pruned tree is its backbone depth.
+    value are the depth bands.  ``collection`` lists the units that hand
+    their loads up, in bands, children before parents: the sorted non-member
+    sources, if any, then the member depth bands, deepest first, no root.
+    ``senders`` are the members left to distribute after pruning; pruning
+    removes only leaves, so a sender's depth in the pruned tree is its
+    backbone depth.
     ``chunks`` are the fixed batches of at most ``compression`` rumors
     that the root pushes back down.
     """
@@ -220,6 +198,7 @@ class Plan:
     own: Mapping[int | str, tuple[Rumor, ...]]
     load: Mapping[int | str, tuple[Rumor, ...]]
     depth: Mapping[int | str, int]
+    collection: tuple[tuple, ...]
     senders: frozenset
     chunks: tuple[Batch, ...]
 
@@ -239,11 +218,12 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
                         compression: int) -> Plan:
     """Build the collection and distribution trees for one rumor per source.
 
-    Source i carries ``Rumor(sources[i], i)``.  Subtree loads come from the
-    backbone's root-first ``depth`` order read backwards, so the backbone
-    depth is not limited by recursion.  Distribution pruning repeatedly
-    drops the largest-id leaf of the sender tree whose removal leaves every
-    node covered by a sender or a sender's neighbor.  The caller validates
+    Source i carries ``Rumor(sources[i], i)``.  Subtree loads accumulate
+    along the collection bands, which read the backbone's root-first
+    ``depth`` order backwards, so the depth is not limited by recursion.
+    Distribution pruning repeatedly drops the largest-id leaf of the sender
+    tree whose removal leaves every node covered by a sender or a sender's
+    neighbor.  The caller validates
     the backbone, the sources and the compression factor.
     """
     members = set(bb.members)
@@ -256,10 +236,12 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
             parent[r.source] = _attach_member(g, members, r.source)
         own[r.source].append(r)
 
+    outsiders = tuple(sorted(u for u in own if u not in members))
+    bands = [tuple(band) for _, band in groupby(bb.depth, bb.depth.get)]
+    collection = tuple(band for band in (outsiders, *bands[:0:-1]) if band)
     load = {u: list(rs) for u, rs in own.items()}
-    for u in reversed([*bb.depth, *(u for u in own if u not in members)]):
-        if u != bb.root:
-            load[parent[u]].extend(load[u])
+    for u in chain.from_iterable(collection):
+        load[parent[u]].extend(load[u])
 
     # cover[v]: senders that are v or have v as an out-neighbor
     cover = dict.fromkeys(g.adjacency, 0)
@@ -284,7 +266,8 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
     return Plan(root=bb.root, compression=compression, rumors=rumors,
                 parent=parent,
                 own={u: tuple(sorted(rs)) for u, rs in own.items()},
-                load=load, depth=bb.depth, senders=frozenset(senders),
+                load=load, depth=bb.depth, collection=collection,
+                senders=frozenset(senders),
                 chunks=_chunked(load[bb.root], compression))
 
 
@@ -319,11 +302,8 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
     # own rumors are ready at round 0 and each child batch at the round it
     # was sent
     inbox = {u: [(0, r) for r in rs] for u, rs in plan.own.items()}
-    outsiders = (u for u in plan.own if u not in plan.depth)
     by_round: dict[int, list[Transmission]] = {}
-    for u in reversed([*plan.depth, *outsiders]):
-        if u == plan.root:
-            continue
+    for u in chain.from_iterable(plan.collection):
         arrivals = sorted(inbox.pop(u), key=itemgetter(0))
         backlog: list[Rumor] = []
         i, now = 0, 1

@@ -24,12 +24,12 @@ through ``getrandbits`` directly (see ``_draws``).  A node transmits in at
 most one slot per round: data senders never echo, and ackers never send
 data.
 
-A node holds its rumors as an int bitmask over a ``central.RumorIndex``
-that all states of one run share.  A round reads each sender's front
-batch mask off the index once, so a clean reception is one ``|=`` of that
-mask.  A round keeps the raw slot and ack data it already computed and
-builds its ``SlotRecord``s only when they are read, which untraced runs
-never do.
+A node holds its rumors as an int bitmask over a ``RumorIndex``, a dense
+bit per rumor, that all states of one run share.  A round reads each
+sender's front batch mask off the index once, so a clean reception is one
+``|=`` of that mask.  A round keeps the raw slot and ack data it already
+computed and builds its ``SlotRecord``s only when they are read, which
+untraced runs never do.
 
 Reception in a slot follows ``model.jammed`` over the talkers' reach
 masks: a listener reached by two or more talkers is jammed, one reached by
@@ -48,7 +48,7 @@ from itertools import groupby
 from typing import IO, Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
-from .central import Plan, RumorIndex, plan_multibroadcast, rumors_in
+from .central import Plan, Rumor, plan_multibroadcast, rumors_in
 from .model import ModelError, NetworkGraph, jammed
 
 
@@ -63,7 +63,7 @@ class SimConfig:
     ``slot_factor`` scales the per-half slot count (slots = ceil(slot_factor
     * max degree)).  ``degree_knowledge`` is "exact" when nodes know the true
     maximum degree and "supplied" when tests inject an estimate through
-    ``supplied_max_degree``.
+    ``supplied_max_degree``, which is None exactly when the degree is exact.
     """
 
     slot_factor: float
@@ -87,6 +87,9 @@ class SimConfig:
             if not self.supplied_max_degree or self.supplied_max_degree < 1:
                 raise DistributedError(
                     "degree_knowledge='supplied' needs supplied_max_degree>=1")
+        elif self.supplied_max_degree is not None:
+            raise DistributedError(
+                "supplied_max_degree needs degree_knowledge='supplied'")
 
 
 def node_rng(seed: int, node_id: int | str) -> random.Random:
@@ -105,6 +108,31 @@ def slot_count(g: NetworkGraph, cfg: SimConfig) -> int:
     except OverflowError:  # the product is inf or exceeds a float
         raise DistributedError(f"slot_factor {cfg.slot_factor} times the max "
                                f"degree overflows the slot count") from None
+
+
+class RumorIndex:
+    """A dense bit per rumor.
+
+    Rumors get bits in order of first registration; ``rumors[i]`` is the
+    rumor of bit i.
+    """
+
+    __slots__ = ("rumors", "bit")
+
+    def __init__(self):
+        self.rumors: list[Rumor] = []
+        self.bit: dict[Rumor, int] = {}
+
+    def mask(self, rumors: Iterable[Rumor]) -> int:
+        """The mask of ``rumors``, registering the ones not yet indexed."""
+        mask = 0
+        for r in rumors:
+            i = self.bit.get(r)
+            if i is None:
+                i = self.bit[r] = len(self.rumors)
+                self.rumors.append(r)
+            mask |= 1 << i
+        return mask
 
 
 class NodeState:
@@ -444,19 +472,16 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
 
 
 def _collection_stages(plan: Plan):
-    """Stages of (unit, batches, audience) triples, deepest first.
+    """Stages of (unit, batches, audience) triples, one per band of
+    ``plan.collection`` with a loaded unit.
 
     Non-member sources first hand their rumors to their attach members,
-    then each member depth band forwards whole subtree loads to parents.
-    The bands are ``plan.depth``'s root-first keys grouped by depth.
-    Within a stage all units contend; a unit's audience is the single node
-    that must confirm reception.
+    then each member depth band, deepest first, forwards whole subtree
+    loads to parents.  Within a stage all units contend; a unit's audience
+    is the single node that must confirm reception.
     """
-    outsiders = sorted(u for u in plan.own if u not in plan.depth)
-    members = [list(band) for _, band in groupby(plan.depth, plan.depth.get)]
-    bands = [outsiders] + members[:0:-1]  # deepest first; the root sends none
     stages = [[(u, plan.batches(u), {plan.parent[u]})
-               for u in band if plan.load[u]] for band in bands]
+               for u in band if plan.load[u]] for band in plan.collection]
     return [stage for stage in stages if stage]
 
 
@@ -522,36 +547,31 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
     control_messages = 0
     collisions_heard = 0
     retx: dict = {}
-    out_of_time = False
     for stage in stages:
-        queue = {u: deque(batches) for u, batches, _ in stage}
-        audience_of = {u: set(aud) for u, _, aud in stage}
-        failed: set = set()  # senders whose last round in this stage failed
-        for u in sorted(queue):
-            states[u].pending = deque(queue[u])
-            states[u].awaiting_ack = set(audience_of[u])
+        audience_of = {}
+        for u, batches, audience in stage:
+            states[u].pending = deque(batches)
+            states[u].awaiting_ack = set(audience)
+            audience_of[u] = audience
             retx.setdefault(u, 0)
-        active = {u for u in queue if states[u].pending}
-        while active:
-            if rounds >= cfg.max_rounds:
-                out_of_time = True
-                break
+        active = set(audience_of)  # every unit has a batch to send
+        while active and rounds < cfg.max_rounds:
             rounds += 1
-            for u in failed:
-                retx[u] += 1
             log = run_round(g, states, active, cfg, round_index=rounds)
             if trace is not None:
                 trace.writelines(rec.to_json() + "\n" for rec in log.records)
             data_messages += log.data_messages
             control_messages += log.control_messages
             collisions_heard += log.collisions_heard
-            failed = active - log.succeeded
+            if rounds < cfg.max_rounds:  # a failed sender sends again
+                for u in active - log.succeeded:
+                    retx[u] += 1
             for u in log.succeeded:
                 if states[u].pending:
                     states[u].awaiting_ack = set(audience_of[u])
                 else:
                     active.discard(u)
-        if out_of_time:
+        if active:  # out of rounds
             break
 
     undelivered = frozenset(

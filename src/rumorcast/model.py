@@ -106,7 +106,8 @@ class NetworkGraph:
 
     A graph is immutable after construction: ``node_ids``, ``symmetric``,
     ``max_degree``, the reach masks, strong connectivity and the diameter
-    are computed at most once per graph and cached on it.
+    are computed at most once per graph and cached on it, as is the
+    greedy backbone (``backbone.greedy_cds``).
     """
 
     nodes: tuple[NodeSpec, ...]

@@ -90,17 +90,13 @@ class Scenario:
         return len(self.sources)
 
 
-def build_backbone(g: NetworkGraph, kind: str,
-                   greedy: Backbone | None = None) -> Backbone:
-    """The backbone of the given kind.
-
-    ``greedy``, when given, must be ``greedy_cds(g)``: it is the result for
-    "greedy" and the base of "bounded-diameter", so it is not built twice.
-    """
+def build_backbone(g: NetworkGraph, kind: str) -> Backbone:
+    """The backbone of the given kind; "greedy" and "bounded-diameter",
+    whose base it is, share the graph's cached ``greedy_cds(g)``."""
     if kind == "greedy":
-        return greedy if greedy is not None else greedy_cds(g)
+        return greedy_cds(g)
     if kind == "bounded-diameter":
-        return bounded_diameter_cds(g, greedy)
+        return bounded_diameter_cds(g)
     if kind == "oracle":
         return brute_force_mcds(g)
     raise ScenarioError(f"unknown backbone kind {kind!r}")
@@ -286,18 +282,15 @@ def run_experiment(scenario: Scenario,
                    seeds: Sequence[int]) -> ExperimentReport:
     """Run one scenario per seed and check the floor invariants.
 
-    The greedy backbone is built once: it is the run's backbone, the base
-    of a bounded-diameter one, and the estimate behind the message floor.
+    The backbone and the floors are computed once for all seeds.
     """
     seeds = list(seeds)
     if not seeds:
         raise ScenarioError("no seeds given")
-    g, kind = scenario.network, scenario.backbone_kind
+    g = scenario.network
     try:
-        greedy = None if kind == "oracle" else greedy_cds(g)
-        bb = build_backbone(g, kind, greedy)
-        report = bound_report(g, scenario.rumor_count, scenario.compression,
-                              greedy=greedy)
+        bb = build_backbone(g, scenario.backbone_kind)
+        report = bound_report(g, scenario.rumor_count, scenario.compression)
     except ValueError as err:
         raise ScenarioError(
             f"scenario {scenario.name!r}: {err}") from err

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from rumorcast.central import (Rumor, RumorIndex, Schedule, ScheduleError,
-                               rumors_in)
+from rumorcast.central import Rumor, Schedule, ScheduleError, rumors_in
+from rumorcast.distributed import RumorIndex
 from rumorcast.model import NetworkGraph, jammed
 
 

@@ -64,6 +64,15 @@ def test_greedy_cds_single_node():
     assert bb.parent == {"a": None}
 
 
+def test_greedy_cds_is_cached_on_its_graph():
+    g = path_graph(list(range(6)))
+    bb = greedy_cds(g)
+    assert greedy_cds(g) is bb
+    # an equal graph is another graph, with its own (equal) backbone
+    twin = path_graph(list(range(6)))
+    assert greedy_cds(twin) is not bb and greedy_cds(twin) == bb
+
+
 def test_greedy_cds_two_nodes():
     g = path_graph(["a", "b"])
     assert greedy_cds(g).members == ("a",)

@@ -21,6 +21,8 @@ from rumorcast.central import (
 )
 from rumorcast.model import NetworkGraph
 
+from test_golden import BACKBONES, FIXTURES
+
 
 def _batch(rumors):
     return Batch(tuple(sorted(set(rumors))))
@@ -106,6 +108,48 @@ def test_collection_matches_round_by_round_reference(case):
     got = schedule_to_dict(multibroadcast_schedule(g, bb, sources, c))
     want = schedule_to_dict(ref_multibroadcast_schedule(g, bb, sources, c))
     assert got == want
+
+
+def check_collection_bands(plan, bb):
+    """``plan.collection``: the sorted non-member sources first, then one
+    band per member depth, depths strictly decreasing; every unit but the
+    root exactly once."""
+    bands = list(plan.collection)
+    outsiders = sorted(set(plan.own) - set(bb.members))
+    if outsiders:
+        assert bands.pop(0) == tuple(outsiders)
+
+    def depth(m):  # parent links walked up, not the cached ``bb.depth``
+        hops = 0
+        while bb.parent[m] is not None:
+            m, hops = bb.parent[m], hops + 1
+        return hops
+
+    levels = []
+    for band in bands:
+        assert band and len({depth(m) for m in band}) == 1
+        levels.append(depth(band[0]))
+    assert levels == sorted(set(levels), reverse=True)
+    units = [u for band in plan.collection for u in band]
+    assert bb.root not in units
+    assert sorted(units) == sorted(set(plan.parent) - {bb.root})
+
+
+@given(backbone_cases())
+@settings(max_examples=100, deadline=None)
+def test_collection_bands_have_their_documented_shape(case):
+    g, bb, sources, c = case
+    validate_backbone(g, bb)
+    check_collection_bands(plan_multibroadcast(g, bb, sources, c), bb)
+
+
+@pytest.mark.parametrize("backbone", sorted(BACKBONES))
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_collection_bands_on_the_golden_fixtures(fixture, backbone):
+    g, sources = FIXTURES[fixture]()
+    bb = BACKBONES[backbone](g)
+    plan = plan_multibroadcast(g, bb, sources, 1)
+    check_collection_bands(plan, bb)
 
 
 @pytest.mark.parametrize("sources", [[0, 0], [3, 3, 0], [4, 1, 4, 2]])

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rumorcast.backbone import brute_force_mcds, greedy_cds
-from rumorcast.central import Batch, Rumor, RumorIndex
+from rumorcast.central import Batch, Rumor
 from rumorcast.distributed import (
     _draws,
     DistMetrics,
     DistributedError,
     NodeState,
+    RumorIndex,
     SimConfig,
     init_states,
     node_rng,
@@ -71,6 +72,17 @@ def test_config_validation():
     with pytest.raises(DistributedError):
         SimConfig(slot_factor=1, degree_knowledge="supplied")
     SimConfig(slot_factor=1, degree_knowledge="supplied", supplied_max_degree=9)
+
+
+def test_exact_degree_knowledge_refuses_a_supplied_degree():
+    # exact knowledge would ignore the estimate, so it is refused outright
+    for degree in (1, 9):
+        with pytest.raises(DistributedError, match="supplied_max_degree"):
+            SimConfig(slot_factor=1, supplied_max_degree=degree)
+    with pytest.raises(DistributedError, match="supplied_max_degree"):
+        SimConfig(slot_factor=1, degree_knowledge="exact",
+                  supplied_max_degree=3)
+    assert SimConfig(slot_factor=1).supplied_max_degree is None
 
 
 def test_slot_count_exact_and_supplied():
@@ -384,6 +396,25 @@ def test_multibroadcast_respects_max_rounds_without_raising():
     assert metrics.rounds == 1
     assert metrics.undelivered
     assert not metrics.delivered_everything
+
+
+@pytest.mark.parametrize("mode", ["cd", "nocd"])
+@pytest.mark.parametrize("max_rounds", [1, 2, 5])
+def test_retransmissions_at_the_round_cap(mode, max_rounds):
+    # one slot per half-round: the three leaves always collide at the hub,
+    # so every round fails for each of them, and only a round that follows
+    # a failure counts as its retransmission
+    g = star(3)
+    leaves = ["l0", "l1", "l2"]
+    bb = greedy_cds(g)
+    assert bb.members == ("hub",)
+    cfg = SimConfig(slot_factor=0.1, mode=mode, max_rounds=max_rounds)
+    assert slot_count(g, cfg) == 1
+    dm = run_distributed_multibroadcast(g, bb, leaves, 1, cfg)
+    assert dm.rounds == max_rounds
+    assert dm.retransmissions_per_node == {u: max_rounds - 1 for u in leaves}
+    assert dm.data_messages == 3 * max_rounds
+    assert len(dm.undelivered) == 9  # each rumor misses the other 3 nodes
 
 
 def test_multibroadcast_input_validation():

@@ -1,6 +1,7 @@
 """Scenario files, seeded experiment runs, and the CLI surface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -117,6 +118,35 @@ def test_run_experiment_rejects_empty_seeds_and_wraps_errors():
                         sources=("hub",), compression=1)
     with pytest.raises(ScenarioError, match="scenario 'sp'"):
         run_experiment(big, [0])  # 19 nodes exceed the oracle cap
+
+
+@pytest.mark.parametrize("kind, builds", [("greedy", 1),
+                                          ("bounded-diameter", 1),
+                                          ("oracle", 0)])
+def test_run_experiment_builds_the_greedy_backbone_once_per_graph(
+        monkeypatch, kind, builds):
+    # above the oracle cap the greedy backbone is the run's backbone or its
+    # base, and the message floor's estimate: one construction serves all
+    from rumorcast import backbone
+
+    graphs = []
+    build = backbone._greedy_cds
+
+    def spy(g):
+        graphs.append(g)
+        return build(g)
+
+    monkeypatch.setattr(backbone, "_greedy_cds", spy)
+    if kind == "oracle":
+        sc = star_scenario(backbone_kind=kind)
+    else:
+        sc = star_scenario(backbone_kind=kind, network=gen_ring_fixture(9),
+                           sources=("t0", "t4", "hub"), compression=2)
+        assert len(sc.network.node_ids) > 16
+    for mode in ("centralized", "distributed-cd"):
+        assert run_experiment(replace(sc, mode=mode), [0, 1]).ok
+    assert len(graphs) == builds
+    assert all(g is sc.network for g in graphs)
 
 
 def test_experiment_csv_rows_shape():
@@ -403,6 +433,15 @@ def test_cli_source_not_a_node_id_exits_2(tmp_path, capsys, sources):
     # "1" sorted against 3 raised TypeError; true and 1.0 aliased node 1
     _refused(tmp_path, capsys, {"name": "p", "network": INT_PATH,
                                 "sources": sources, "c": 1})
+
+
+def test_cli_supplied_degree_with_exact_knowledge_exits_2(tmp_path, capsys):
+    # the run would use the exact degree and silently drop the supplied one
+    err = _refused(tmp_path, capsys, {"name": "p", "network": INT_PATH,
+                                      "mode": "distributed-cd",
+                                      "sources": [1, 5], "c": 1,
+                                      "cfg": {"supplied_max_degree": 1}})
+    assert "supplied_max_degree" in err
 
 
 def test_cli_no_sources_exits_2(tmp_path, capsys):
