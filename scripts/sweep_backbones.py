@@ -39,8 +39,7 @@ def member_hop_diameter(g, members) -> int:
 
 
 def sweep_row(seed: int, n: int, args) -> tuple:
-    g = gen_random_udg(n, args.radius, area_side=args.area, seed=seed,
-                       connect_retry=args.retry)
+    g = gen_random_udg(n, args.radius, seed=seed, connect_retry=args.retry)
     greedy = greedy_cds(g)
     bounded = bounded_diameter_cds(g)
     if len(g.node_ids) <= BRUTE_FORCE_NODE_LIMIT:
@@ -66,7 +65,6 @@ def main(argv=None) -> int:
     parser.add_argument("--n-min", type=int, default=5)
     parser.add_argument("--n-max", type=int, default=12)
     parser.add_argument("--radius", type=float, default=0.45)
-    parser.add_argument("--area", type=float, default=1.0)
     parser.add_argument("--retry", type=int, default=80,
                         help="re-draws allowed per seed to hit connectivity")
     parser.add_argument("--k", type=int, default=4, help="rumor count")

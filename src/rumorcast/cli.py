@@ -52,8 +52,8 @@ def _csv_text(rows) -> str:
 
 def _cmd_gen(args) -> int:
     if args.kind == "udg":
-        g = gen_random_udg(args.n, args.radius, area_side=args.area,
-                           seed=args.seed, connect_retry=args.retry)
+        g = gen_random_udg(args.n, args.radius, seed=args.seed,
+                           connect_retry=args.retry)
         sources = pick_sources(g, args.k)
         name = args.name or f"udg-n{args.n}-s{args.seed}"
     elif args.kind == "ring":
@@ -133,8 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=10, help="node count (udg)")
     gen.add_argument("--radius", type=float, default=0.45,
                      help="transmission radius (udg)")
-    gen.add_argument("--area", type=float, default=1.0,
-                     help="square side length (udg)")
     gen.add_argument("--retry", type=int, default=50,
                      help="connectivity retries (udg)")
     gen.add_argument("--seed", type=int, default=0,

@@ -61,16 +61,14 @@ class SimConfig:
     """Knobs for the slot-based simulator.
 
     ``slot_factor`` scales the per-half slot count (slots = ceil(slot_factor
-    * max degree)).  ``degree_knowledge`` is "exact" when nodes know the true
-    maximum degree and "supplied" when tests inject an estimate through
-    ``supplied_max_degree``, which is None exactly when the degree is exact.
+    * max degree)).  ``supplied_max_degree`` is the degree bound the nodes
+    size their slots by; None means they know the true maximum degree.
     """
 
     slot_factor: float
     mode: str = "cd"
     seed: int = 0
     max_rounds: int = 10_000
-    degree_knowledge: str = "exact"
     supplied_max_degree: int | None = None
 
     def __post_init__(self):
@@ -80,16 +78,9 @@ class SimConfig:
             raise DistributedError(f"unknown mode {self.mode!r}")
         if self.max_rounds < 1:
             raise DistributedError("max_rounds must be >= 1")
-        if self.degree_knowledge not in ("exact", "supplied"):
-            raise DistributedError(
-                f"unknown degree_knowledge {self.degree_knowledge!r}")
-        if self.degree_knowledge == "supplied":
-            if not self.supplied_max_degree or self.supplied_max_degree < 1:
-                raise DistributedError(
-                    "degree_knowledge='supplied' needs supplied_max_degree>=1")
-        elif self.supplied_max_degree is not None:
-            raise DistributedError(
-                "supplied_max_degree needs degree_knowledge='supplied'")
+        if (self.supplied_max_degree is not None
+                and self.supplied_max_degree < 1):
+            raise DistributedError("supplied_max_degree must be >= 1")
 
 
 def node_rng(seed: int, node_id: int | str) -> random.Random:
@@ -98,11 +89,9 @@ def node_rng(seed: int, node_id: int | str) -> random.Random:
 
 
 def slot_count(g: NetworkGraph, cfg: SimConfig) -> int:
-    """Slots per half-round under the configured degree knowledge."""
-    if cfg.degree_knowledge == "supplied":
-        top = cfg.supplied_max_degree
-    else:
-        top = g.max_degree
+    """Slots per half-round: ceil(slot_factor * the supplied degree bound,
+    or the true maximum degree when none is supplied), at least 1."""
+    top = cfg.supplied_max_degree or g.max_degree
     try:
         return max(1, math.ceil(cfg.slot_factor * top))
     except OverflowError:  # the product is inf or exceeds a float

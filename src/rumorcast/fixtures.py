@@ -25,25 +25,25 @@ class FixtureError(ValueError):
     """A generator could not produce the requested network."""
 
 
-def gen_random_udg(n: int, radius: float, area_side: float = 1.0,
-                   seed: int = 0, connect_retry: int = 50,
-                   alpha: float = 2.0) -> NetworkGraph:
-    """Uniform points in a square with one shared radio radius.
+def gen_random_udg(n: int, radius: float, seed: int = 0,
+                   connect_retry: int = 50) -> NetworkGraph:
+    """Uniform points in the unit square with one shared radio radius.
 
     Resamples up to connect_retry times until the graph is connected.
-    Equal power makes every link symmetric.
+    Equal power makes every link symmetric.  A square of side A with
+    radius r is this square with radius r / A, and the path-loss
+    exponent cancels out of a shared radius, so neither is a parameter.
     """
     if n < 1:
         raise FixtureError(f"need at least one node, got {n}")
-    if radius <= 0 or area_side <= 0:
-        raise FixtureError("radius and area_side must be positive")
+    if radius <= 0:
+        raise FixtureError("radius must be positive")
     rng = random.Random(seed)
-    power = radius ** alpha
+    power = radius ** 2.0
     for _ in range(max(1, connect_retry)):
-        nodes = [NodeSpec(i, rng.uniform(0, area_side),
-                          rng.uniform(0, area_side), power)
+        nodes = [NodeSpec(i, rng.uniform(0, 1.0), rng.uniform(0, 1.0), power)
                  for i in range(n)]
-        g = build_network(nodes, alpha=alpha)
+        g = build_network(nodes)
         if is_strongly_connected(g):
             return g
     raise FixtureError(

@@ -442,7 +442,7 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
             alpha = float(data.get("alpha", 2.0))
         except ModelError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelError(
                 f"malformed network description: {exc}") from exc
         _check_ids([*adj, *chain.from_iterable(adj.values())])
@@ -460,7 +460,7 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
         if not isinstance(strict, bool):
             raise ModelError(f"strict must be true or false, got {strict!r}")
         return build_network(nodes, obstacles, alpha, strict=strict)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ModelError(f"malformed network description: {exc}") from exc
 
 

@@ -31,8 +31,8 @@ from .bounds import BoundReport, bound_report
 from .central import (Rumor, make_collision_free, multibroadcast_schedule,
                       simulate_schedule)
 from .distributed import SimConfig, run_distributed_multibroadcast, slot_count
-from .model import (NetworkGraph, _check_ids, load_network,
-                    network_from_dict, network_to_dict)
+from .model import (NetworkGraph, _check_ids, is_strongly_connected,
+                    load_network, network_from_dict, network_to_dict)
 
 MODES = ("centralized", "distributed-cd", "distributed-nocd")
 BACKBONE_KINDS = ("greedy", "bounded-diameter", "oracle")
@@ -57,8 +57,9 @@ class Scenario:
     backbone_kind: str = "greedy"
 
     def __post_init__(self):
-        if not self.name:
-            raise ScenarioError("scenario needs a non-empty name")
+        if not isinstance(self.name, str) or not self.name:
+            raise ScenarioError(f"scenario name must be a non-empty string, "
+                                f"got {self.name!r}")
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}, "
                                 f"expected one of {MODES}")
@@ -82,6 +83,8 @@ class Scenario:
         if not self.network.symmetric:
             raise ScenarioError("every backbone needs a symmetric network "
                                 "(two-way links)")
+        if not is_strongly_connected(self.network):
+            raise ScenarioError("every backbone needs a connected network")
         if self.mode != "centralized":
             slot_count(self.network, self.cfg)
 
@@ -106,7 +109,7 @@ def build_backbone(g: NetworkGraph, kind: str) -> Backbone:
 
 _SCENARIO_KEYS = {"name", "network", "sources", "c", "mode", "backbone",
                   "cfg"}
-_CFG_KEYS = {"mu", "max_rounds", "degree_knowledge", "supplied_max_degree"}
+_CFG_KEYS = {"mu", "max_rounds", "supplied_max_degree"}
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -120,14 +123,24 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "cfg": {
             "mu": sc.cfg.slot_factor,
             "max_rounds": sc.cfg.max_rounds,
-            "degree_knowledge": sc.cfg.degree_knowledge,
             "supplied_max_degree": sc.cfg.supplied_max_degree,
         },
     }
 
 
+def _number(value, key: str) -> int | float:
+    """``value`` when it is a JSON number: else true and false would load
+    as 1 and 0, and a string such as "1_0" as 10."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"{key} must not be a boolean, got {value!r}")
+    if not isinstance(value, (int, float)):
+        raise ScenarioError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def _integer(value, key: str) -> int:
-    """``int(value)``, refusing a float that would be truncated."""
+    """``int(value)`` of a JSON number, refusing a truncated float."""
+    value = _number(value, key)
     if isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{key} must be an integer, got {value!r}")
     return int(value)
@@ -166,25 +179,20 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
             isinstance(s, (list, dict)) for s in sources):
         raise ScenarioError("sources must be a list of node ids")
     _check_ids(sources)
-    for key, value in (("c", data["c"]), *cfg_data.items()):
-        if isinstance(value, bool):  # else true and false load as 1 and 0
-            raise ScenarioError(f"{key} must not be a boolean, got {value!r}")
+    try:
+        mu = float(_number(cfg_data.get("mu", 2.0), "mu"))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ScenarioError(f"malformed scenario number mu: {exc}") from exc
     supplied = cfg_data.get("supplied_max_degree")
-    try:  # a value such as null or a list does not convert
-        compression = _integer(data["c"], "c")
-        cfg = SimConfig(
-            slot_factor=float(cfg_data.get("mu", 2.0)),
-            max_rounds=_integer(cfg_data.get("max_rounds", 10_000),
-                                "max_rounds"),
-            degree_knowledge=cfg_data.get("degree_knowledge", "exact"),
-            supplied_max_degree=None if supplied is None else _integer(
-                supplied, "supplied_max_degree"),
-        )
-    except TypeError as exc:
-        raise ScenarioError(f"malformed scenario number: {exc}") from exc
-    return Scenario(name=str(data["name"]), network=network,
+    cfg = SimConfig(
+        slot_factor=mu,
+        max_rounds=_integer(cfg_data.get("max_rounds", 10_000), "max_rounds"),
+        supplied_max_degree=None if supplied is None else _integer(
+            supplied, "supplied_max_degree"),
+    )
+    return Scenario(name=data["name"], network=network,
                     sources=tuple(sources),
-                    compression=compression,
+                    compression=_integer(data["c"], "c"),
                     mode=data.get("mode", "centralized"), cfg=cfg,
                     backbone_kind=data.get("backbone", "greedy"))
 

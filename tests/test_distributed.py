@@ -67,29 +67,16 @@ def test_config_validation():
         SimConfig(slot_factor=1, mode="duplex")
     with pytest.raises(DistributedError):
         SimConfig(slot_factor=1, max_rounds=0)
-    with pytest.raises(DistributedError):
-        SimConfig(slot_factor=1, degree_knowledge="guessed")
-    with pytest.raises(DistributedError):
-        SimConfig(slot_factor=1, degree_knowledge="supplied")
-    SimConfig(slot_factor=1, degree_knowledge="supplied", supplied_max_degree=9)
-
-
-def test_exact_degree_knowledge_refuses_a_supplied_degree():
-    # exact knowledge would ignore the estimate, so it is refused outright
-    for degree in (1, 9):
-        with pytest.raises(DistributedError, match="supplied_max_degree"):
-            SimConfig(slot_factor=1, supplied_max_degree=degree)
     with pytest.raises(DistributedError, match="supplied_max_degree"):
-        SimConfig(slot_factor=1, degree_knowledge="exact",
-                  supplied_max_degree=3)
-    assert SimConfig(slot_factor=1).supplied_max_degree is None
+        SimConfig(slot_factor=1, supplied_max_degree=0)
+    SimConfig(slot_factor=1, supplied_max_degree=9)
 
 
 def test_slot_count_exact_and_supplied():
     g = sym({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]})
     assert slot_count(g, SimConfig(slot_factor=1.0)) == 3
     assert slot_count(g, SimConfig(slot_factor=1.5)) == 5
-    assert slot_count(g, SimConfig(slot_factor=2.0, degree_knowledge="supplied",
+    assert slot_count(g, SimConfig(slot_factor=2.0,
                                    supplied_max_degree=10)) == 20
     assert slot_count(edge(), SimConfig(slot_factor=0.25)) == 1
 

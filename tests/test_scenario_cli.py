@@ -1,12 +1,14 @@
 """Scenario files, seeded experiment runs, and the CLI surface."""
 
+import hashlib
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
 from rumorcast.cli import main
-from rumorcast.distributed import SimConfig
+from rumorcast.distributed import SimConfig, slot_count
 from rumorcast.fixtures import gen_ring_fixture, gen_star_path
 from rumorcast.model import NetworkGraph, network_to_dict
 from rumorcast.scenario import (RESULTS_HEADER, Scenario, ScenarioError,
@@ -327,9 +329,13 @@ def test_cli_fractional_max_rounds_exits_2(tmp_path, capsys):
 
 
 def test_cli_fractional_supplied_max_degree_exits_2(tmp_path, capsys):
-    cfg = {"degree_knowledge": "supplied", "supplied_max_degree": 2.5}
+    cfg = {"supplied_max_degree": 2.5}
     assert _validate_exit(tmp_path, capsys,
                           lambda d: d.update(cfg=cfg)) == 2
+    data = json.loads((tmp_path / "sp.json").read_text())
+    with pytest.raises(ScenarioError, match="^supplied_max_degree must be "
+                                            "an integer, got 2.5$"):
+        scenario_from_dict(data)
 
 
 def test_cli_integral_float_compression_loads(tmp_path, capsys):
@@ -435,13 +441,25 @@ def test_cli_source_not_a_node_id_exits_2(tmp_path, capsys, sources):
                                 "sources": sources, "c": 1})
 
 
-def test_cli_supplied_degree_with_exact_knowledge_exits_2(tmp_path, capsys):
-    # the run would use the exact degree and silently drop the supplied one
+def test_supplied_max_degree_sizes_the_slots(tmp_path, capsys):
+    # a supplied degree stands in for the true maximum degree, 2 here
+    data = {"name": "p", "network": INT_PATH, "mode": "distributed-cd",
+            "sources": [1, 5], "c": 1,
+            "cfg": {"mu": 2.5, "supplied_max_degree": 1}}
+    spath = tmp_path / "sc.json"
+    spath.write_text(json.dumps(data))
+    assert main(["validate", "--scenario", str(spath)]) == 0
+    sc = scenario_from_dict(data)
+    assert sc.network.max_degree == 2
+    assert slot_count(sc.network, sc.cfg) == math.ceil(2.5 * 1) == 3
+
+
+def test_cli_degree_knowledge_key_exits_2(tmp_path, capsys):
+    # the degree bound is stated by supplied_max_degree alone
     err = _refused(tmp_path, capsys, {"name": "p", "network": INT_PATH,
-                                      "mode": "distributed-cd",
                                       "sources": [1, 5], "c": 1,
-                                      "cfg": {"supplied_max_degree": 1}})
-    assert "supplied_max_degree" in err
+                                      "cfg": {"degree_knowledge": "exact"}})
+    assert err == "error: unknown cfg keys ['degree_knowledge']\n"
 
 
 def test_cli_no_sources_exits_2(tmp_path, capsys):
@@ -455,7 +473,7 @@ def test_cli_no_sources_exits_2(tmp_path, capsys):
 def test_cli_boolean_number_exits_2(tmp_path, capsys, key):
     # true would otherwise load as 1, a valid value for every one of these
     data = {"name": "p", "network": INT_PATH, "sources": [1, 5], "c": 1,
-            "cfg": {"degree_knowledge": "supplied", "supplied_max_degree": 2}}
+            "cfg": {"supplied_max_degree": 2}}
     (data if key == "c" else data["cfg"])[key] = True
     err = _refused(tmp_path, capsys, data)
     assert err == f"error: {key} must not be a boolean, got True\n"
@@ -463,8 +481,7 @@ def test_cli_boolean_number_exits_2(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("mode, cfg", [
     ("distributed-cd", {"mu": 1e308}),
-    ("distributed-nocd", {"degree_knowledge": "supplied",
-                          "supplied_max_degree": 10 ** 400}),
+    ("distributed-nocd", {"supplied_max_degree": 10 ** 400}),
 ], ids=["inf-product", "degree-beyond-float"])
 def test_cli_overflowing_slot_count_exits_2(tmp_path, capsys, mode, cfg):
     # the README demo; ceil() of the slot count used to raise OverflowError
@@ -498,3 +515,62 @@ def test_cli_one_node_network_meets_its_floors(tmp_path, capsys):
         want = "1" if mode == "centralized" else "0"
         assert got["messages"] == want
         assert float(got["ratio"]) == int(want)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(c="1_0"),
+    lambda d: d["cfg"].update(max_rounds="1_000"),
+    lambda d: d["cfg"].update(mu=" 2 "),
+    lambda d: d["cfg"].update(supplied_max_degree="2"),
+], ids=["c", "max_rounds", "mu", "supplied_max_degree"])
+def test_cli_string_number_exits_2(tmp_path, capsys, edit):
+    # int() and float() would read "1_0" as 10 and " 2 " as 2.0
+    data = {"name": "p", "network": INT_PATH, "sources": [1, 5], "c": 1,
+            "cfg": {}}
+    edit(data)
+    assert "must be a number, got '" in _refused(tmp_path, capsys, data)
+
+
+@pytest.mark.parametrize("name", [None, 5, ""])
+def test_cli_name_not_a_nonempty_string_exits_2(tmp_path, capsys, name):
+    err = _refused(tmp_path, capsys, {"name": name, "network": INT_PATH,
+                                      "sources": [1], "c": 1})
+    assert err == (f"error: scenario name must be a non-empty string, "
+                   f"got {name!r}\n")
+
+
+HUGE = 10 ** 400  # an integer JSON number beyond the float range
+
+
+@pytest.mark.parametrize("data, want", [
+    ({"network": INT_PATH, "sources": [1], "cfg": {"mu": HUGE}},
+     "malformed scenario number mu"),
+    ({"network": {**INT_PATH, "alpha": HUGE}, "sources": [1]},
+     "malformed network description"),
+    ({"network": {"nodes": [{"id": 0, "x": HUGE, "y": 0.0, "power": 1.0}]},
+      "sources": [0]},
+     "malformed network description"),
+], ids=["mu", "alpha", "node-x"])
+def test_cli_number_beyond_float_exits_2(tmp_path, capsys, data, want):
+    # float() raised OverflowError, reported as an internal error (exit 3)
+    err = _refused(tmp_path, capsys, {"name": "p", "c": 1, **data})
+    assert err.startswith(f"error: {want}: ")
+
+
+def test_cli_disconnected_network_exits_2_in_every_verb(tmp_path, capsys):
+    # validate used to pass a network that run and bounds then refused
+    two_edges = {"adjacency": [[0, [1]], [1, [0]], [2, [3]], [3, [2]]]}
+    err = _refused(tmp_path, capsys, {"name": "split", "sources": [0],
+                                      "c": 1, "network": two_edges})
+    assert err == "error: every backbone needs a connected network\n"
+    assert main(["bounds", "--scenario", str(tmp_path / "sc.json")]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_cli_gen_udg_scenario_digest(capsys):
+    # the generated network and scenario, pinned byte for byte
+    assert main(["gen", "udg", "--n", "40", "--radius", "0.3", "--seed",
+                 "7", "--k", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "6e6dcccb0e0bcb821d70a2a37e220ffd248966e4453d4b6ace674f5747e7f13e")
