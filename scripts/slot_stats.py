@@ -21,7 +21,6 @@ import sys
 from collections import deque
 
 from rumorcast.bounds import expected_cd_stats, expected_nocd_stats
-from rumorcast.central import Batch, Rumor
 from rumorcast.distributed import SimConfig, init_states, run_round_cd, run_round_nocd, slot_count
 from rumorcast.model import NetworkGraph
 
@@ -51,7 +50,7 @@ def cd_row(delta: int, mu: float, rounds: int, seed: int) -> tuple:
     m = slot_count(g, cfg)
     stats = expected_cd_stats(delta, delta, mu)
     exact = (1.0 - 1.0 / m) ** delta
-    batches = {u: Batch((Rumor(u, 0),)) for u in g.node_ids}
+    batches = {u: 1 << u for u in g.node_ids}  # u's own rumor
     states = init_states(g, cfg)
     wins = 0
     lengths: list[int] = []
@@ -62,10 +61,10 @@ def cd_row(delta: int, mu: float, rounds: int, seed: int) -> tuple:
     for _ in range(rounds):
         for u in g.node_ids:
             states[u].pending = deque([batches[u]])
-            states[u].held_rumors = set()
+            states[u].held = 0
         log = run_round_cd(g, states, g.node_ids, cfg)
         current += 1
-        if all(Rumor(0, 0) in states[v].held_rumors
+        if all(states[v].held & batches[0]
                for v in g.node_ids if v != 0):
             wins += 1
             lengths.append(current)
@@ -73,7 +72,7 @@ def cd_row(delta: int, mu: float, rounds: int, seed: int) -> tuple:
         for u in talkers:
             states[u].pending = deque([batches[u]])
         for u in g.node_ids:
-            states[u].held_rumors = set()
+            states[u].held = 0
         errors += run_round_cd(g, states, talkers, cfg).control_messages
     mean_rounds = sum(lengths) / len(lengths) if lengths else math.inf
     return (delta, mu, m, rounds, f"{wins / rounds:.4f}", f"{exact:.4f}",
@@ -84,7 +83,7 @@ def cd_row(delta: int, mu: float, rounds: int, seed: int) -> tuple:
 def nocd_row(delta: int, mu: float, trials: int, seed: int) -> tuple:
     g, leaves = star(delta)
     stats = expected_nocd_stats(delta, delta, mu)
-    batch = Batch((Rumor("hub", 0),))
+    batch = 1  # the hub's rumor
     total_rounds = 0
     total_acks = 0
     for trial in range(trials):

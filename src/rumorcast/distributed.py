@@ -24,12 +24,13 @@ through ``getrandbits`` directly (see ``_draws``).  A node transmits in at
 most one slot per round: data senders never echo, and ackers never send
 data.
 
-A node holds its rumors as an int bitmask over a ``RumorIndex``, a dense
-bit per rumor, that all states of one run share.  A round reads each
-sender's front batch mask off the index once, so a clean reception is one
-``|=`` of that mask.  A round keeps the raw slot and ack data it already
-computed and builds its ``SlotRecord``s only when they are read, which
-untraced runs never do.
+The slot layer knows rumors only as int masks: a node holds a rumor
+mask and queues the masks of the batches it must send, so a clean
+reception is one ``|=`` of the sender's front mask.  A full run numbers
+the plan's rumors once, bit i for ``plan.rumors[i]``, and turns rumors
+into masks and back only at its edges.  A round keeps the raw slot and
+ack data it already computed and builds its ``SlotRecord``s only when
+they are read, which untraced runs never do.
 
 Reception in a slot follows ``model.jammed`` over the talkers' reach
 masks: a listener reached by two or more talkers is jammed, one reached by
@@ -48,7 +49,7 @@ from itertools import groupby
 from typing import IO, Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
-from .central import Plan, Rumor, plan_multibroadcast, rumors_in
+from .central import Plan, plan_multibroadcast, rumors_in
 from .model import ModelError, NetworkGraph, jammed
 
 
@@ -99,49 +100,18 @@ def slot_count(g: NetworkGraph, cfg: SimConfig) -> int:
                                f"degree overflows the slot count") from None
 
 
-class RumorIndex:
-    """A dense bit per rumor.
-
-    Rumors get bits in order of first registration; ``rumors[i]`` is the
-    rumor of bit i.
-    """
-
-    __slots__ = ("rumors", "bit")
-
-    def __init__(self):
-        self.rumors: list[Rumor] = []
-        self.bit: dict[Rumor, int] = {}
-
-    def mask(self, rumors: Iterable[Rumor]) -> int:
-        """The mask of ``rumors``, registering the ones not yet indexed."""
-        mask = 0
-        for r in rumors:
-            i = self.bit.get(r)
-            if i is None:
-                i = self.bit[r] = len(self.rumors)
-                self.rumors.append(r)
-            mask |= 1 << i
-        return mask
-
-
 class NodeState:
     """Mutable per-node simulator state.
 
-    ``held`` is a bitmask over ``index``, the ``RumorIndex`` that every
-    state of one ``init_states`` call shares; ``held_rumors`` reads it as a
-    frozenset and can be assigned any iterable of rumors.  ``pending``
-    queues the batches still to send, and ``awaiting_ack`` the listeners
-    that must still confirm the front one; ``front_mask`` reads the front
-    batch's mask off the shared index, once per round the node sends.
-    ``rng_stream`` is ``node_rng(seed, node)``, built on the node's first
-    draw.
+    ``held`` is the mask of the rumors the node holds, ``pending`` queues
+    the masks of the batches still to send, and ``awaiting_ack`` the
+    listeners that must still confirm the front one.  ``rng_stream`` is
+    ``node_rng(seed, node)``, built on the node's first draw.
     """
 
-    __slots__ = ("index", "held", "pending", "awaiting_ack", "_seed",
-                 "_node", "_rng")
+    __slots__ = ("held", "pending", "awaiting_ack", "_seed", "_node", "_rng")
 
-    def __init__(self, index: RumorIndex, seed: int, node: int | str):
-        self.index = index
+    def __init__(self, seed: int, node: int | str):
         self.held = 0
         self.pending: deque = deque()
         self.awaiting_ack: set = set()
@@ -150,28 +120,15 @@ class NodeState:
         self._rng: random.Random | None = None
 
     @property
-    def held_rumors(self) -> frozenset:
-        return frozenset(rumors_in(self.index.rumors, self.held))
-
-    @held_rumors.setter
-    def held_rumors(self, rumors: Iterable) -> None:
-        self.held = self.index.mask(rumors)
-
-    @property
     def rng_stream(self) -> random.Random:
         if self._rng is None:
             self._rng = node_rng(self._seed, self._node)
         return self._rng
 
-    def front_mask(self) -> int:
-        """The mask of the batch at the front of ``pending``."""
-        return self.index.mask(self.pending[0].rumors)
-
 
 def init_states(g: NetworkGraph, cfg: SimConfig) -> dict:
-    """A fresh state per node, all over one new rumor index."""
-    index = RumorIndex()
-    return {u: NodeState(index, cfg.seed, u) for u in g.node_ids}
+    """A fresh state per node."""
+    return {u: NodeState(cfg.seed, u) for u in g.node_ids}
 
 
 @dataclass(frozen=True)
@@ -354,7 +311,7 @@ def _open_round(g: NetworkGraph, states: Mapping, transmitters: Iterable,
             raise DistributedError(f"transmitter {u!r} has no batch to send")
     half = slot_count(g, cfg)
     return (senders, half, _draws(states, senders, half),
-            {u: states[u].front_mask() for u in senders})
+            {u: states[u].pending[0] for u in senders})
 
 
 def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
@@ -460,8 +417,15 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
                     acks=ack_slot, verdicts=verdicts)
 
 
+def _mask_of(plan: Plan):
+    """Batch -> the mask of its rumors, bit i standing for
+    ``plan.rumors[i]``."""
+    bit = {r: 1 << i for i, r in enumerate(plan.rumors)}.__getitem__
+    return lambda batch: sum(map(bit, batch.rumors))
+
+
 def _collection_stages(plan: Plan):
-    """Stages of (unit, batches, audience) triples, one per band of
+    """Stages of (unit, batch masks, audience) triples, one per band of
     ``plan.collection`` with a loaded unit.
 
     Non-member sources first hand their rumors to their attach members,
@@ -469,13 +433,15 @@ def _collection_stages(plan: Plan):
     loads to parents.  Within a stage all units contend; a unit's audience
     is the single node that must confirm reception.
     """
-    stages = [[(u, plan.batches(u), {plan.parent[u]})
+    mask = _mask_of(plan)
+    stages = [[(u, [*map(mask, plan.batches(u))], {plan.parent[u]})
                for u in band if plan.load[u]] for band in plan.collection]
     return [stage for stage in stages if stage]
 
 
 def _distribution_stages(g: NetworkGraph, plan: Plan):
-    """Stages of (unit, batches, audience): one per (chunk, sender depth).
+    """Stages of (unit, batch masks, audience): one per (chunk, sender
+    depth), each chunk's mask computed once.
 
     The depth bands are the senders among ``plan.depth``'s root-first keys,
     grouped by depth.  An audience excludes senders at the same or smaller
@@ -491,7 +457,8 @@ def _distribution_stages(g: NetworkGraph, plan: Plan):
                 for m in level]
         bands.append([(m, audience) for m, audience in band if audience])
     return [[(m, [chunk], audience) for m, audience in band]
-            for chunk in plan.chunks for band in bands if band]
+            for chunk in map(_mask_of(plan), plan.chunks)
+            for band in bands if band]
 
 
 def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
@@ -523,10 +490,8 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
 
     plan = plan_multibroadcast(g, bb, sources, compression)
     states = init_states(g, cfg)
-    index = states[plan.root].index
-    everything = index.mask(plan.rumors)  # the plan's rumors get bits first
-    for r in plan.rumors:
-        states[r.source].held |= index.mask((r,))
+    for i, r in enumerate(plan.rumors):  # bit i is plan.rumors[i]
+        states[r.source].held |= 1 << i
 
     run_round = run_round_cd if cfg.mode == "cd" else run_round_nocd
     stages = _collection_stages(plan) + _distribution_stages(g, plan)
@@ -563,9 +528,10 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
         if active:  # out of rounds
             break
 
+    everything = (1 << len(plan.rumors)) - 1
     undelivered = frozenset(
         (node, r) for node in g.node_ids
-        for r in rumors_in(index.rumors, everything & ~states[node].held))
+        for r in rumors_in(plan.rumors, everything & ~states[node].held))
     return DistMetrics(rounds=rounds, data_messages=data_messages,
                        control_messages=control_messages,
                        retransmissions_per_node=dict(sorted(retx.items(),

@@ -414,6 +414,23 @@ def _check_ids(ids: Sequence) -> None:
         raise ModelError("node ids mix integers and strings")
 
 
+def _number(value, key: str, error: type = ModelError) -> int | float:
+    """``value`` when it is a JSON number, else ``error``: float() and int()
+    would load true and false as 1 and 0, and a string such as "1_0" as 10."""
+    if isinstance(value, bool):
+        raise error(f"{key} must not be a boolean, got {value!r}")
+    if not isinstance(value, (int, float)):
+        raise error(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _float(data: Mapping, key: str) -> float:
+    """``data[key]``, a JSON number, as a float; a float passes unchecked,
+    the common case."""
+    value = data[key]
+    return value if type(value) is float else float(_number(value, key))
+
+
 def network_from_dict(data: Mapping) -> NetworkGraph:
     if not isinstance(data, Mapping):
         raise ModelError("network description must be an object")
@@ -439,7 +456,7 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
                 if u in adj:
                     raise ModelError(f"duplicate node id {u!r}")
                 adj[u] = set(outs)
-            alpha = float(data.get("alpha", 2.0))
+            alpha = float(_number(data.get("alpha", 2.0), "alpha"))
         except ModelError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
@@ -448,14 +465,14 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
         _check_ids([*adj, *chain.from_iterable(adj.values())])
         return NetworkGraph.from_adjacency(adj, alpha=alpha)
     try:
-        nodes = [NodeSpec(n["id"], float(n["x"]), float(n["y"]),
-                          float(n["power"]))
+        nodes = [NodeSpec(n["id"], _float(n, "x"), _float(n, "y"),
+                          _float(n, "power"))
                  for n in data["nodes"]]
         _check_ids([n.id for n in nodes])
-        obstacles = [Obstacle(float(o["x1"]), float(o["y1"]),
-                              float(o["x2"]), float(o["y2"]))
+        obstacles = [Obstacle(_float(o, "x1"), _float(o, "y1"),
+                              _float(o, "x2"), _float(o, "y2"))
                      for o in data.get("obstacles", [])]
-        alpha = float(data.get("alpha", 2.0))
+        alpha = float(_number(data.get("alpha", 2.0), "alpha"))
         strict = data.get("strict", False)
         if not isinstance(strict, bool):
             raise ModelError(f"strict must be true or false, got {strict!r}")

@@ -31,7 +31,7 @@ from .bounds import BoundReport, bound_report
 from .central import (Rumor, make_collision_free, multibroadcast_schedule,
                       simulate_schedule)
 from .distributed import SimConfig, run_distributed_multibroadcast, slot_count
-from .model import (NetworkGraph, _check_ids, is_strongly_connected,
+from .model import (NetworkGraph, _check_ids, _number, is_strongly_connected,
                     load_network, network_from_dict, network_to_dict)
 
 MODES = ("centralized", "distributed-cd", "distributed-nocd")
@@ -128,19 +128,9 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def _number(value, key: str) -> int | float:
-    """``value`` when it is a JSON number: else true and false would load
-    as 1 and 0, and a string such as "1_0" as 10."""
-    if isinstance(value, bool):
-        raise ScenarioError(f"{key} must not be a boolean, got {value!r}")
-    if not isinstance(value, (int, float)):
-        raise ScenarioError(f"{key} must be a number, got {value!r}")
-    return value
-
-
 def _integer(value, key: str) -> int:
     """``int(value)`` of a JSON number, refusing a truncated float."""
-    value = _number(value, key)
+    value = _number(value, key, ScenarioError)
     if isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{key} must be an integer, got {value!r}")
     return int(value)
@@ -180,7 +170,7 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
         raise ScenarioError("sources must be a list of node ids")
     _check_ids(sources)
     try:
-        mu = float(_number(cfg_data.get("mu", 2.0), "mu"))
+        mu = float(_number(cfg_data.get("mu", 2.0), "mu", ScenarioError))
     except OverflowError as exc:  # an integer beyond the float range
         raise ScenarioError(f"malformed scenario number mu: {exc}") from exc
     supplied = cfg_data.get("supplied_max_degree")

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from rumorcast.central import Rumor, Schedule, ScheduleError, rumors_in
-from rumorcast.distributed import RumorIndex
 from rumorcast.model import NetworkGraph, jammed
 
 
@@ -102,10 +101,11 @@ def arrival_simulate(g: NetworkGraph, sched: Schedule,
     listeners one by one.  A clean reception that brings something new
     logs the batch's mask.
     """
-    index = RumorIndex()
-    masks = [[index.mask(tx.batch.rumors) for tx in rnd]
+    index: dict = {}  # rumor -> its bit, in order of first appearance
+    masks = [[sum(1 << index.setdefault(r, len(index))
+                  for r in tx.batch.rumors) for tx in rnd]
              for rnd in sched.rounds]
-    rumors = tuple(index.rumors)
+    rumors = tuple(index)
     held = dict.fromkeys(g.node_ids, 0)
     arrivals = []
     for i, r in enumerate(rumors):
@@ -129,7 +129,7 @@ def arrival_simulate(g: NetworkGraph, sched: Schedule,
             lacking = b & ~(held[s] | lost.get(s, 0))
             if lacking:
                 missing = next(r for r in tx.batch.rumors
-                               if lacking >> index.bit[r] & 1)
+                               if lacking >> index[r] & 1)
                 raise ScheduleError(
                     f"round {t}: sender {s!r} does not hold {missing}")
         jam = jammed(g, (tx.sender for tx in rnd)) if interference else 0

@@ -34,7 +34,6 @@ from rumorcast.bounds import (
     time_lower_bound_star_path,
 )
 from rumorcast.central import (
-    Batch,
     Rumor,
     Schedule,
     broadcast_schedule,
@@ -312,7 +311,7 @@ def test_criterion_07_cd_round_statistics():
             # all delta+1 nodes contend; the probe sender reaches everyone
             # exactly when no rival picked its slot
             p_exact = (1.0 - 1.0 / m) ** delta
-            batches = {u: Batch((Rumor(u, 0),)) for u in g.node_ids}
+            batches = {u: 1 << u for u in g.node_ids}  # u's own rumor
             states = init_states(g, cfg)
             wins = 0
             run_lengths: list[int] = []
@@ -321,11 +320,11 @@ def test_criterion_07_cd_round_statistics():
             for _ in range(CD_ROUNDS):
                 for u in g.node_ids:
                     states[u].pending = deque([batches[u]])
-                    states[u].held_rumors = set()
+                    states[u].held = 0
                 log = run_round_cd(g, states, g.node_ids, cfg)
                 contend_errors += log.control_messages
                 current += 1
-                if all(Rumor(0, 0) in states[v].held_rumors
+                if all(states[v].held & batches[0]
                        for v in g.node_ids if v != 0):
                     wins += 1
                     run_lengths.append(current)
@@ -349,7 +348,7 @@ def test_criterion_07_cd_round_statistics():
                 for u in talkers:
                     states[u].pending = deque([batches[u]])
                 for u in g.node_ids:
-                    states[u].held_rumors = set()
+                    states[u].held = 0
                 echo_total += run_round_cd(g, states, talkers, cfg).control_messages
             mean_echoes = echo_total / CD_ROUNDS
             assert mean_echoes <= err_cap
@@ -371,7 +370,7 @@ def test_criterion_08_nocd_drain_statistics():
         g, leaves = make_star(delta)
         stats = expected_nocd_stats(delta, delta, 2.0)
         trials = NOCD_TRIALS[delta]
-        batch = Batch((Rumor("hub", 0),))
+        batch = 1  # the hub's rumor
         total_rounds = 0
         total_acks = 0
         for trial in range(trials):

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rumorcast.backbone import brute_force_mcds, greedy_cds
-from rumorcast.central import Batch, Rumor
+from rumorcast.central import Rumor
 from rumorcast.distributed import (
     _draws,
     DistMetrics,
     DistributedError,
     NodeState,
-    RumorIndex,
     SimConfig,
     init_states,
     node_rng,
@@ -53,7 +52,7 @@ def clique(n):
 
 
 def armed(g, cfg, batches):
-    """States with the given node -> Batch front-loaded."""
+    """States with the given node -> batch mask front-loaded."""
     states = init_states(g, cfg)
     for u, batch in batches.items():
         states[u].pending = deque([batch])
@@ -101,8 +100,7 @@ def test_slot_draws_are_randint_draws(seed):
     nodes = [0, 3, 41, "a", "hub"]
 
     def fresh():
-        index = RumorIndex()
-        return {u: NodeState(index, seed, u) for u in nodes}
+        return {u: NodeState(seed, u) for u in nodes}
 
     kept = fresh()
     kept_ref = {u: node_rng(seed, u) for u in nodes}
@@ -121,14 +119,14 @@ def test_slot_draws_are_randint_draws(seed):
 def test_cd_single_transmitter_succeeds_in_one_round():
     g = edge()
     cfg = SimConfig(slot_factor=1.0, seed=3)
-    batch = Batch((Rumor(0, 0),))
+    batch = 1  # the mask of Rumor(0, 0)
     states = armed(g, cfg, {0: batch})
     log = run_round_cd(g, states, {0}, cfg)
     assert log.succeeded == frozenset({0})
     assert log.data_messages == 1
     assert log.control_messages == 0
     assert log.collisions_heard == 0
-    assert Rumor(0, 0) in states[1].held_rumors
+    assert states[1].held & batch
     assert not states[0].pending
 
 
@@ -137,14 +135,13 @@ def test_cd_forced_mutual_collision_fails_both():
     # two senders always collide and the witness must echo
     g = triangle()
     cfg = SimConfig(slot_factor=0.5, seed=1)
-    states = armed(g, cfg, {"a": Batch((Rumor("a", 0),)),
-                            "b": Batch((Rumor("b", 0),))})
+    states = armed(g, cfg, {"a": 0b01, "b": 0b10})
     log = run_round_cd(g, states, {"a", "b"}, cfg)
     assert log.succeeded == frozenset()
     assert log.control_messages == 1
     assert log.collisions_heard >= 1
     assert states["a"].pending and states["b"].pending
-    assert not states["c"].held_rumors
+    assert not states["c"].held
     kinds = {(r.kind, r.transmitter) for r in log.records}
     assert ("error", "c") in kinds
 
@@ -153,8 +150,7 @@ def test_cd_star_collision_punishes_even_clean_senders():
     # one shared slot: the hub hears garbage and its echo reaches every leaf
     g = star(3)
     cfg = SimConfig(slot_factor=1 / 3, seed=2)
-    states = armed(g, cfg, {f"l{i}": Batch((Rumor(f"l{i}", 0),))
-                            for i in range(3)})
+    states = armed(g, cfg, {f"l{i}": 1 << i for i in range(3)})
     log = run_round_cd(g, states, {"l0", "l1", "l2"}, cfg)
     assert log.succeeded == frozenset()
     assert log.control_messages == 1
@@ -166,7 +162,7 @@ def test_cd_error_slot_lists_its_echoers_in_id_order():
     g = sym({1: [5, 9], 2: [5, 9], 4: [3], 6: [3],
              3: [4, 6], 5: [1, 2], 9: [1, 2]})
     cfg = SimConfig(slot_factor=0.5, seed=0)
-    states = armed(g, cfg, {u: Batch((Rumor(u, 0),)) for u in (1, 2, 4, 6)})
+    states = armed(g, cfg, {u: 1 << u for u in (1, 2, 4, 6)})
     log = run_round_cd(g, states, {1, 2, 4, 6}, cfg)
     errors = [r for r in log.records if r.kind == "error"]
     assert [r.transmitter for r in errors] == [3, 5, 9]
@@ -180,7 +176,7 @@ def test_cd_round_rejects_bad_transmitters():
     with pytest.raises(DistributedError):
         run_round_cd(g, states, {0}, cfg)  # nothing queued
     with pytest.raises(ModelError):
-        run_round_cd(g, armed(g, cfg, {0: Batch((Rumor(0, 0),))}), {9}, cfg)
+        run_round_cd(g, armed(g, cfg, {0: 1}), {9}, cfg)
     with pytest.raises(DistributedError):
         run_round_cd(g, states, set(), SimConfig(slot_factor=1, mode="nocd"))
 
@@ -196,13 +192,13 @@ def test_cd_clique_delivery_rate_matches_slot_uniqueness():
     states = init_states(g, cfg)
     trials = 10_000
     wins = 0
-    batches = {u: Batch((Rumor(u, 0),)) for u in g.node_ids}
+    batches = {u: 1 << u for u in g.node_ids}  # u's own rumor
     for _ in range(trials):
         for u in g.node_ids:
             states[u].pending = deque([batches[u]])
-            states[u].held_rumors = set()
+            states[u].held = 0
         run_round_cd(g, states, set(g.node_ids), cfg)
-        if all(Rumor(0, 0) in states[v].held_rumors for v in (1, 2, 3)):
+        if all(states[v].held & batches[0] for v in (1, 2, 3)):
             wins += 1
     rate = wins / trials
     se = math.sqrt(expected * (1 - expected) / trials)
@@ -227,13 +223,13 @@ def test_cd_success_implies_every_listener_received(g, data):
     senders = data.draw(st.sets(st.sampled_from(sorted(g.node_ids)),
                                 min_size=1))
     cfg = SimConfig(slot_factor=1.0, seed=data.draw(st.integers(0, 10 ** 6)))
-    batches = {u: Batch((Rumor(u, 0),)) for u in senders}
+    batches = {u: 1 << u for u in senders}  # u's own rumor
     states = armed(g, cfg, batches)
     log = run_round_cd(g, states, senders, cfg)
     for u in log.succeeded:
         for v in g.adjacency[u]:
             if v not in senders:
-                assert Rumor(u, 0) in states[v].held_rumors
+                assert states[v].held & batches[u]
     # a node transmits in at most one slot per round
     by_node = {}
     for rec in log.records:
@@ -245,20 +241,20 @@ def test_cd_success_implies_every_listener_received(g, data):
 def test_nocd_single_listener_clears_in_one_round():
     g = edge()
     cfg = SimConfig(slot_factor=1.0, mode="nocd", seed=5)
-    states = armed(g, cfg, {0: Batch((Rumor(0, 0),))})
+    states = armed(g, cfg, {0: 1})  # the mask of Rumor(0, 0)
     states[0].awaiting_ack = {1}
     log = run_round_nocd(g, states, {0}, cfg)
     assert log.succeeded == frozenset({0})
     assert log.data_messages == 1
     assert log.control_messages == 1
-    assert Rumor(0, 0) in states[1].held_rumors
+    assert states[1].held & 1
     assert not states[0].pending
 
 
 def test_nocd_round_rejects_bad_state():
     g = edge()
     cfg = SimConfig(slot_factor=1.0, mode="nocd")
-    states = armed(g, cfg, {0: Batch((Rumor(0, 0),))})
+    states = armed(g, cfg, {0: 1})
     with pytest.raises(DistributedError):
         run_round_nocd(g, states, {0}, cfg)  # empty address list
     states[0].awaiting_ack = {0, 1}
@@ -279,12 +275,12 @@ def test_nocd_departures_really_hold_the_batch(g, data):
                                  min_size=1))
     cfg = SimConfig(slot_factor=1.0, mode="nocd",
                     seed=data.draw(st.integers(0, 10 ** 6)))
-    batch = Batch((Rumor(u, 0), Rumor(u, 1)))
+    batch = 0b11  # Rumor(u, 0) and Rumor(u, 1)
     states = armed(g, cfg, {u: batch})
     states[u].awaiting_ack = set(audience)
     run_round_nocd(g, states, {u}, cfg)
     for w in audience - states[u].awaiting_ack:
-        assert set(batch.rumors) <= states[w].held_rumors
+        assert not batch & ~states[w].held
 
 
 def test_nocd_star_drain_statistics():
@@ -297,7 +293,7 @@ def test_nocd_star_drain_statistics():
     total_rounds = 0
     for seed in range(trials):
         cfg = SimConfig(slot_factor=2.0, mode="nocd", seed=seed)
-        states = armed(g, cfg, {"hub": Batch((Rumor("hub", 0),))})
+        states = armed(g, cfg, {"hub": 1})
         states["hub"].awaiting_ack = set(g.adjacency["hub"])
         rounds = 0
         while states["hub"].pending:
@@ -383,6 +379,28 @@ def test_multibroadcast_respects_max_rounds_without_raising():
     assert metrics.rounds == 1
     assert metrics.undelivered
     assert not metrics.delivered_everything
+
+
+@pytest.mark.parametrize("mode", ["cd", "nocd"])
+def test_undelivered_at_the_round_cap_names_each_missing_rumor(mode):
+    # path a-b-c-d-e-f, backbone b-c-d-e rooted at b.  Round 1 hands a's
+    # rumor to b and f's to e, round 2 sends f's rumor from e to d and f.
+    # Each listener hears one talker per slot, so no draw changes who holds
+    # what.  The sources are unsorted: bit 0 is Rumor("f", 0), which sorts
+    # after bit 1's Rumor("a", 1).
+    names = "abcdef"
+    g = sym({u: [names[j] for j in (i - 1, i + 1) if 0 <= j < len(names)]
+             for i, u in enumerate(names)})
+    bb = brute_force_mcds(g)
+    assert bb.root == "b"
+    from_a, from_f = Rumor("a", 1), Rumor("f", 0)
+    for seed in range(5):
+        cfg = SimConfig(slot_factor=1.0, mode=mode, seed=seed, max_rounds=2)
+        dm = run_distributed_multibroadcast(g, bb, ["f", "a"], 1, cfg)
+        assert dm.rounds == 2
+        assert dm.undelivered == {
+            ("a", from_f), ("b", from_f), ("c", from_f),
+            ("c", from_a), ("d", from_a), ("e", from_a), ("f", from_a)}
 
 
 @pytest.mark.parametrize("mode", ["cd", "nocd"])

@@ -13,7 +13,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rumorcast.central import Batch, Rumor, Schedule, Transmission, simulate_schedule
+from rumorcast.central import Batch, Rumor, Schedule, Transmission, rumors_in, simulate_schedule
 from rumorcast.distributed import (
     SimConfig,
     _slot,
@@ -131,15 +131,24 @@ def public_copy(g):
                         adjacency=dict(g.adjacency))
 
 
+def arm(states, senders):
+    """Queue one batch per sender, its own rumor: bit i is sender i's.
+    Returns the rumors in bit order."""
+    for i, u in enumerate(senders):
+        states[u].pending = deque([1 << i])
+    return [Rumor(u, 0) for u in senders]
+
+
 def one_round(g, mode, senders):
     cfg = SimConfig(slot_factor=1.0, mode=mode, seed=3)
     states = init_states(g, cfg)
+    rumors = arm(states, senders)
     for u in senders:
-        states[u].pending = deque([Batch((Rumor(u, 0),))])
         states[u].awaiting_ack = set(g.adjacency[u])
     run_round = run_round_cd if mode == "cd" else run_round_nocd
     log = run_round(g, states, senders, cfg)
-    held = {v: (sorted(s.held_rumors), len(s.pending), sorted(s.awaiting_ack))
+    held = {v: (sorted(rumors_in(rumors, s.held)), len(s.pending),
+                sorted(s.awaiting_ack))
             for v, s in states.items()}
     return log, held
 
@@ -174,8 +183,7 @@ def test_cd_error_reaches_sender_over_one_way_link():
     for seed in range(12):
         cfg = SimConfig(slot_factor=2.0, mode="cd", seed=seed)
         states = init_states(g, cfg)
-        for u in "abu":
-            states[u].pending = deque([Batch((Rumor(u, 0),))])
+        arm(states, "abu")
         log = run_round_cd(g, states, "abu", cfg)
         errors = [r for r in log.records if r.kind == "error"]
         collided += bool(errors)
@@ -192,8 +200,8 @@ def test_nocd_ack_jammed_by_acker_that_reaches_the_sender():
     for seed in range(12):
         cfg = SimConfig(slot_factor=1.0, mode="nocd", seed=seed)
         states = init_states(g, cfg)
+        arm(states, "uw")
         for u, v in (("u", "v"), ("w", "z")):
-            states[u].pending = deque([Batch((Rumor(u, 0),))])
             states[u].awaiting_ack = {v}
         log = run_round_nocd(g, states, ["u", "w"], cfg)
         acks = {r.transmitter: r for r in log.records if r.kind == "ack"}

@@ -3,14 +3,16 @@
 The reference below is the earlier ``run_round_cd``/``run_round_nocd``
 with their helpers: each node holds a set of rumors and a random stream
 seeded up front, and every round builds its slot records as it goes.  On
-random symmetric graphs with random pending batches (some ``Batch``
-objects shared between senders), address lists and prior holdings, both
-run several consecutive rounds and must agree on the records, the
-outcome counts, every node's holdings, queue and address list, and the
-next draw of every node's stream.  The same check runs on random directed
-graphs, where one-way links make a listener's talkers differ from the
-nodes it reaches, and on one fixed NoCD round in which three senders
-address one acker and a rival acker jams only the middle sender's ack.
+random symmetric graphs with random pending batches (some batches shared
+between senders), address lists and prior holdings, both run several
+consecutive rounds and must agree on the records, the outcome counts,
+every node's holdings, queue and address list, and the next draw of every
+node's stream.  The reference holds ``Rumor`` sets and ``Batch`` queues,
+the library rumor masks, bit i of a mask standing for ``pool[i]``.  The
+same check runs on random directed graphs, where one-way links make a
+listener's talkers differ from the nodes it reaches, and on one fixed
+NoCD round in which three senders address one acker and a rival acker
+jams only the middle sender's ack.
 """
 
 from collections import deque
@@ -204,18 +206,23 @@ def instances(draw, directed=False):
     return g, pool, batches, cfg
 
 
+def mask_of(pool, rumors):
+    """The mask of ``rumors``, bit i standing for ``pool[i]``."""
+    return sum(1 << pool.index(r) for r in rumors)
+
+
 def load(draw, g, pool, batches, cfg, ref, new):
     """Give both state maps the same random queues, lists and holdings."""
     for u in g.node_ids:
         if draw(st.integers(0, 3)) == 0:
             held = draw(st.sets(st.sampled_from(pool)))
             ref[u].held_rumors = set(held)
-            new[u].held_rumors = held
+            new[u].held = mask_of(pool, held)
         if not ref[u].pending and draw(st.booleans()):
             queue = draw(st.lists(st.sampled_from(batches), min_size=1,
                                   max_size=3))
             ref[u].pending = deque(queue)
-            new[u].pending = deque(queue)
+            new[u].pending = deque(mask_of(pool, b.rumors) for b in queue)
         if (cfg.mode == "nocd" and ref[u].pending and g.adjacency[u]
                 and (not ref[u].awaiting_ack or draw(st.booleans()))):
             audience = draw(st.sets(st.sampled_from(g.adjacency[u]),
@@ -224,10 +231,11 @@ def load(draw, g, pool, batches, cfg, ref, new):
             new[u].awaiting_ack = set(audience)
 
 
-def same_nodes(g, ref, new):
+def same_nodes(g, pool, ref, new):
     for u in g.node_ids:
-        assert new[u].held_rumors == ref[u].held_rumors, u
-        assert list(new[u].pending) == list(ref[u].pending), u
+        assert new[u].held == mask_of(pool, ref[u].held_rumors), u
+        assert list(new[u].pending) == [mask_of(pool, b.rumors)
+                                        for b in ref[u].pending], u
         assert new[u].awaiting_ack == ref[u].awaiting_ack, u
 
 
@@ -265,7 +273,7 @@ def check_rounds(instance, data):
         assert got.data_messages == want.data_messages
         assert got.control_messages == want.control_messages
         assert got.collisions_heard == want.collisions_heard
-        same_nodes(g, ref, new)
+        same_nodes(g, pool, ref, new)
     for u in g.node_ids:
         assert new[u].rng_stream.random() == ref[u].rng_stream.random(), u
 
@@ -281,10 +289,11 @@ def test_ack_verdicts_keep_sender_order():
     cfg = SimConfig(slot_factor=1.0, mode="nocd", seed=0)
     ref = ref_states(g, cfg)
     new = init_states(g, cfg)
-    for u in "abc":
-        batch = Batch((Rumor(u, 0),))
+    pool = [Rumor(u, 0) for u in "abc"]
+    for u, rumor in zip("abc", pool):
+        ref[u].pending = deque([Batch((rumor,))])
+        new[u].pending = deque([mask_of(pool, [rumor])])
         for states in (ref, new):
-            states[u].pending = deque([batch])
             states[u].awaiting_ack = {"v", "z"} & set(g.adjacency[u])
     want = ref_round_nocd(g, ref, "cba", cfg)
     got = run_round_nocd(g, new, "cba", cfg)
@@ -297,4 +306,4 @@ def test_ack_verdicts_keep_sender_order():
     assert acks["z"].receivers_collided == ("b",)
     assert got.succeeded == want.succeeded == {"a", "c"}
     assert got.collisions_heard == want.collisions_heard
-    same_nodes(g, ref, new)
+    same_nodes(g, pool, ref, new)

@@ -557,6 +557,51 @@ def test_cli_number_beyond_float_exits_2(tmp_path, capsys, data, want):
     assert err.startswith(f"error: {want}: ")
 
 
+NODE_NET = {"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "power": 1.0},
+                      {"id": 1, "x": 0.5, "y": 0.0, "power": 1.0}],
+            "obstacles": [{"x1": 5.0, "y1": 5.0, "x2": 6.0, "y2": 6.0}]}
+
+
+def _node(net):
+    return net["nodes"][1]
+
+
+def _obstacle(net):
+    return net["obstacles"][0]
+
+
+def _top(net):
+    return net
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+@pytest.mark.parametrize("net, where, key, value", [
+    (NODE_NET, _node, "x", "0.5"),
+    (NODE_NET, _node, "y", False),
+    (NODE_NET, _node, "power", "1_0"),
+    (NODE_NET, _obstacle, "x1", "5"),
+    (NODE_NET, _obstacle, "y1", True),
+    (NODE_NET, _obstacle, "x2", " 6 "),
+    (NODE_NET, _obstacle, "y2", False),
+    (NODE_NET, _top, "alpha", " 2 "),
+    (INT_PATH, _top, "alpha", "3"),
+], ids=["x", "y", "power", "x1", "y1", "x2", "y2", "alpha-nodes",
+        "alpha-adjacency"])
+def test_cli_network_number_not_a_json_number_exits_2(tmp_path, capsys, net,
+                                                      where, key, value,
+                                                      inline):
+    # float() would read " 2 " as 2.0, "1_0" as 10.0 and false as 0.0
+    net = json.loads(json.dumps(net))
+    where(net)[key] = value
+    if not inline:
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        net = str(tmp_path / "net.json")
+    err = _refused(tmp_path, capsys, {"name": "p", "network": net,
+                                      "sources": [1], "c": 1})
+    kind = "not be a boolean" if isinstance(value, bool) else "be a number"
+    assert err == f"error: {key} must {kind}, got {value!r}\n"
+
+
 def test_cli_disconnected_network_exits_2_in_every_verb(tmp_path, capsys):
     # validate used to pass a network that run and bounds then refused
     two_edges = {"adjacency": [[0, [1]], [1, [0]], [2, [3]], [3, [2]]]}
