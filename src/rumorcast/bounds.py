@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .backbone import BRUTE_FORCE_NODE_LIMIT, brute_force_mcds, greedy_cds
+from .distributed import slots_per_half
 from .model import NetworkGraph, diameter
 
 
@@ -83,9 +84,7 @@ def expected_cd_stats(degree: int, max_degree: int,
     """
     if degree > max_degree:
         raise ValueError("degree cannot exceed max_degree")
-    if slot_factor <= 0:
-        raise ValueError("slot_factor must be positive")
-    slots = max(1, math.ceil(slot_factor * max_degree))
+    slots = slots_per_half(slot_factor, max_degree)
     per_listener = (1.0 - 1.0 / slots) ** max_degree
     success = per_listener ** degree
     retx = math.exp(2.0 * degree / slot_factor)
@@ -122,9 +121,7 @@ def expected_nocd_stats(degree: int, max_degree: int,
     """
     if degree > max_degree:
         raise ValueError("degree cannot exceed max_degree")
-    if slot_factor <= 0:
-        raise ValueError("slot_factor must be positive")
-    slots = max(1, math.ceil(slot_factor * max_degree))
+    slots = slots_per_half(slot_factor, max_degree)
     success = math.exp(-2.0 / slot_factor)
     neighbor_tx = math.exp(2.0 / slot_factor) * degree
     fail = 1.0 - success

@@ -12,10 +12,11 @@ round's reach masks into the mask of listeners reached twice, and
 ``make_collision_free`` keeps each sub-round's listeners as one mask.
 
 Multi-broadcast is planned once by ``plan_multibroadcast``: the collection
-tree and its bands, subtree loads, member depths, pruned distribution
-senders and fixed chunks.  ``multibroadcast_schedule`` times that
-``Plan``'s collection unit by unit, band by band, and pipelines its chunks
-down; the distributed simulator runs the same ``Plan`` with slotted rounds.
+tree and its bands, subtree loads, the pruned distribution bands and fixed
+chunks.  ``multibroadcast_schedule`` times that ``Plan``'s collection unit
+by unit, band by band, and pipelines its chunks down the distribution
+bands; the distributed simulator runs the same ``Plan`` with slotted
+rounds.
 
 A ``Rumor`` is a named tuple, so the planner and the collection heap sort
 and compare rumors directly.  ``simulate_schedule`` holds a schedule's
@@ -179,38 +180,26 @@ class Plan:
     hangs off its smallest member neighbor.  ``parent`` links each unit to
     the unit it hands rumors to (None for the root); ``own`` and ``load``
     hold each unit's own rumors and its whole subtree's rumors, sorted.
-    ``depth`` is the backbone's cached ``Backbone.depth``: each member's hop
-    depth below the root, keyed in root-first order, so its keys grouped by
-    value are the depth bands.  ``collection`` lists the units that hand
-    their loads up, in bands, children before parents: the sorted non-member
-    sources, if any, then the member depth bands, deepest first, no root.
-    ``senders`` are the members left to distribute after pruning; pruning
-    removes only leaves, so a sender's depth in the pruned tree is its
-    backbone depth.
+    ``collection`` lists the units that hand their loads up, in bands,
+    children before parents: the sorted non-member sources, if any, then
+    the member depth bands, deepest first, no root.  ``distribution`` lists
+    the members left to send after pruning, in depth bands, root first:
+    band d holds the senders at backbone depth d, in ``Backbone.depth``'s
+    root-first key order.  Pruning removes only leaves, so a sender's depth
+    in the pruned tree is its backbone depth, and only the deepest bands
+    can empty; they are left out.
     ``chunks`` are the fixed batches of at most ``compression`` rumors
     that the root pushes back down.
     """
 
-    root: int | str
     compression: int
     rumors: tuple[Rumor, ...]
     parent: Mapping
     own: Mapping[int | str, tuple[Rumor, ...]]
     load: Mapping[int | str, tuple[Rumor, ...]]
-    depth: Mapping[int | str, int]
     collection: tuple[tuple, ...]
-    senders: frozenset
+    distribution: tuple[tuple, ...]
     chunks: tuple[Batch, ...]
-
-    def batches(self, unit: int | str) -> tuple[Batch, ...]:
-        """A unit's subtree load cut into batches of at most c rumors."""
-        return _chunked(self.load[unit], self.compression)
-
-
-def _chunked(rumors: Sequence[Rumor], size: int) -> tuple[Batch, ...]:
-    """Sorted ``rumors`` cut into batches of at most ``size``."""
-    return tuple(Batch(tuple(rumors[i:i + size]))
-                 for i in range(0, len(rumors), size))
 
 
 def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
@@ -223,8 +212,9 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
     ``depth`` order backwards, so the depth is not limited by recursion.
     Distribution pruning repeatedly drops the largest-id leaf of the sender
     tree whose removal leaves every node covered by a sender or a sender's
-    neighbor.  The caller validates
-    the backbone, the sources and the compression factor.
+    neighbor; the senders left keep their places in the same depth bands.
+    The caller validates the backbone, the sources and the compression
+    factor.
     """
     members = set(bb.members)
     rumors = tuple(Rumor(s, i) for i, s in enumerate(sources))
@@ -262,13 +252,15 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
             cover[v] -= 1
         live_kids[bb.parent[m]] -= 1
 
+    distribution = (tuple(m for m in band if m in senders) for band in bands)
     load = {u: tuple(sorted(rs)) for u, rs in load.items()}
-    return Plan(root=bb.root, compression=compression, rumors=rumors,
-                parent=parent,
+    root_load = load[bb.root]
+    return Plan(compression=compression, rumors=rumors, parent=parent,
                 own={u: tuple(sorted(rs)) for u, rs in own.items()},
-                load=load, depth=bb.depth, collection=collection,
-                senders=frozenset(senders),
-                chunks=_chunked(load[bb.root], compression))
+                load=load, collection=collection,
+                distribution=tuple(filter(None, distribution)),
+                chunks=tuple(Batch(root_load[i:i + compression])
+                             for i in range(0, len(root_load), compression)))
 
 
 def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
@@ -323,10 +315,10 @@ def multibroadcast_schedule(g: NetworkGraph, bb: Backbone,
     t = max(by_round, default=0)
 
     # distribution: chunk j leaves a sender at depth d in round t + j + d
-    for m in plan.senders:
+    for d, band in enumerate(plan.distribution):
         for j, chunk in enumerate(plan.chunks, start=1):
-            by_round.setdefault(t + j + plan.depth[m], []).append(
-                Transmission(m, chunk))
+            by_round.setdefault(t + j + d, []).extend(
+                Transmission(m, chunk) for m in band)
     return _rounds_from_map(by_round)
 
 

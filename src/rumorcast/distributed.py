@@ -13,8 +13,8 @@ round.
 
 Full runs execute the centralized module's multi-broadcast ``Plan`` stage
 by stage: non-member sources hand off, member depth bands forward their
-subtree loads to the root, then each chunk ripples down the pruned sender
-tree.  The rounds inside each stage are randomized.
+subtree loads to the root, then each chunk ripples down the plan's
+distribution bands.  The rounds inside each stage are randomized.
 
 Every node owns an independent deterministic random stream derived from
 (seed, node id), so runs replay bit-for-bit; a stream is seeded on the
@@ -45,7 +45,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 from typing import IO, Iterable, Mapping, Sequence
 
 from .backbone import Backbone, validate_backbone
@@ -89,15 +88,23 @@ def node_rng(seed: int, node_id: int | str) -> random.Random:
     return random.Random(f"{seed}:{node_id}")
 
 
-def slot_count(g: NetworkGraph, cfg: SimConfig) -> int:
-    """Slots per half-round: ceil(slot_factor * the supplied degree bound,
-    or the true maximum degree when none is supplied), at least 1."""
-    top = cfg.supplied_max_degree or g.max_degree
+def slots_per_half(slot_factor: float, max_degree: int) -> int:
+    """Slots per half-round: ceil(slot_factor * max_degree), at least 1."""
+    if not slot_factor > 0:  # NaN fails too
+        raise DistributedError(
+            f"slot_factor must be positive, got {slot_factor}")
     try:
-        return max(1, math.ceil(cfg.slot_factor * top))
-    except OverflowError:  # the product is inf or exceeds a float
-        raise DistributedError(f"slot_factor {cfg.slot_factor} times the max "
+        return max(1, math.ceil(slot_factor * max_degree))
+    except (OverflowError, ValueError):  # an inf, NaN or too large product
+        raise DistributedError(f"slot_factor {slot_factor} times the max "
                                f"degree overflows the slot count") from None
+
+
+def slot_count(g: NetworkGraph, cfg: SimConfig) -> int:
+    """``slots_per_half`` of the supplied degree bound, or of the true
+    maximum degree when none is supplied."""
+    return slots_per_half(cfg.slot_factor,
+                          cfg.supplied_max_degree or g.max_degree)
 
 
 class NodeState:
@@ -418,10 +425,9 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
 
 
 def _mask_of(plan: Plan):
-    """Batch -> the mask of its rumors, bit i standing for
-    ``plan.rumors[i]``."""
+    """Rumors -> the mask of them, bit i standing for ``plan.rumors[i]``."""
     bit = {r: 1 << i for i, r in enumerate(plan.rumors)}.__getitem__
-    return lambda batch: sum(map(bit, batch.rumors))
+    return lambda rumors: sum(map(bit, rumors))
 
 
 def _collection_stages(plan: Plan):
@@ -433,31 +439,34 @@ def _collection_stages(plan: Plan):
     loads to parents.  Within a stage all units contend; a unit's audience
     is the single node that must confirm reception.
     """
-    mask = _mask_of(plan)
-    stages = [[(u, [*map(mask, plan.batches(u))], {plan.parent[u]})
+    mask, c = _mask_of(plan), plan.compression
+
+    def cut(load):  # into batch masks of at most c rumors
+        return [mask(load[i:i + c]) for i in range(0, len(load), c)]
+
+    stages = [[(u, cut(plan.load[u]), {plan.parent[u]})
                for u in band if plan.load[u]] for band in plan.collection]
     return [stage for stage in stages if stage]
 
 
 def _distribution_stages(g: NetworkGraph, plan: Plan):
-    """Stages of (unit, batch masks, audience): one per (chunk, sender
-    depth), each chunk's mask computed once.
+    """Stages of (unit, batch masks, audience): one per (chunk, band of
+    ``plan.distribution``), each chunk's mask computed once.
 
-    The depth bands are the senders among ``plan.depth``'s root-first keys,
-    grouped by depth.  An audience excludes senders at the same or smaller
-    depth since those provably hold the chunk already (they relayed or are
-    relaying it).
+    An audience excludes senders in the same or an earlier band, since
+    those provably hold the chunk already (they relayed or are relaying
+    it); a sender left with no audience sits the stage out.
     """
     bands = []
     holders: set = set()
-    for _, depth_band in groupby(plan.depth, plan.depth.get):
-        level = [m for m in depth_band if m in plan.senders]
+    for level in plan.distribution:
         holders.update(level)
         band = [(m, {v for v in g.adjacency[m] if v not in holders})
                 for m in level]
         bands.append([(m, audience) for m, audience in band if audience])
+    mask = _mask_of(plan)
     return [[(m, [chunk], audience) for m, audience in band]
-            for chunk in map(_mask_of(plan), plan.chunks)
+            for chunk in [mask(b.rumors) for b in plan.chunks]
             for band in bands if band]
 
 

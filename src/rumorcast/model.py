@@ -175,8 +175,10 @@ class NetworkGraph:
 
         Synthesizes degenerate node records (zero position and power) so the
         combinatorial operations work without geometry.  Every referenced
-        neighbor must itself be a key.
+        neighbor must itself be a key, and ``alpha`` must lie in [2, 4]
+        as for ``build_network``.
         """
+        _check_alpha(alpha)
         adj: dict[int | str, tuple[int | str, ...]] = {}
         for u, outs in adjacency.items():
             outs = tuple(sorted(set(outs)))
@@ -209,6 +211,13 @@ class _ReachMasks(dict):
         return mask
 
 
+def _check_alpha(alpha: float) -> None:
+    """Both network forms take a path-loss exponent in [2, 4] only."""
+    if not ALPHA_MIN <= alpha <= ALPHA_MAX:  # NaN fails too
+        raise ModelError(f"alpha must lie in [{ALPHA_MIN}, {ALPHA_MAX}], "
+                         f"got {alpha}")
+
+
 def build_network(nodes: Sequence[NodeSpec],
                   obstacles: Sequence[Obstacle] = (),
                   alpha: float = 2.0,
@@ -223,9 +232,7 @@ def build_network(nodes: Sequence[NodeSpec],
     Raises ModelError for alpha outside [2, 4], duplicate ids, or
     non-positive powers.
     """
-    if not ALPHA_MIN <= alpha <= ALPHA_MAX:
-        raise ModelError(f"alpha must lie in [{ALPHA_MIN}, {ALPHA_MAX}], "
-                         f"got {alpha}")
+    _check_alpha(alpha)
     seen: set[int | str] = set()
     for n in nodes:
         if n.id in seen:
@@ -415,20 +422,25 @@ def _check_ids(ids: Sequence) -> None:
 
 
 def _number(value, key: str, error: type = ModelError) -> int | float:
-    """``value`` when it is a JSON number, else ``error``: float() and int()
-    would load true and false as 1 and 0, and a string such as "1_0" as 10."""
+    """``value`` when it is a finite JSON number, else ``error``: float()
+    and int() would load true and false as 1 and 0, and a string such as
+    "1_0" as 10, and Python's json reads NaN and Infinity as floats."""
     if isinstance(value, bool):
         raise error(f"{key} must not be a boolean, got {value!r}")
     if not isinstance(value, (int, float)):
         raise error(f"{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise error(f"{key} must be finite, got {value!r}")
     return value
 
 
 def _float(data: Mapping, key: str) -> float:
-    """``data[key]``, a JSON number, as a float; a float passes unchecked,
-    the common case."""
+    """``data[key]``, a finite JSON number, as a float; a finite float
+    passes without further checks, the common case."""
     value = data[key]
-    return value if type(value) is float else float(_number(value, key))
+    if type(value) is float and math.isfinite(value):
+        return value
+    return float(_number(value, key))
 
 
 def network_from_dict(data: Mapping) -> NetworkGraph:

@@ -99,7 +99,36 @@ def test_stage_bands_are_the_depth_levels(case, data):
     for stage in _distribution_stages(g, plan):
         depths = {ref_depth(bb, m) for m, _, _ in stage}
         assert len(depths) == 1
-        assert {m for m, _, _ in stage} <= plan.senders
+        assert {m for m, _, _ in stage} <= set().union(*plan.distribution)
+
+
+@given(trees_with_chords(), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_distribution_bands_are_a_minimal_covering_sender_tree(case, greedy,
+                                                              data):
+    g, bb = case
+    if greedy:
+        bb = greedy_cds(g)
+    sources = data.draw(st.lists(st.sampled_from(bb.members), min_size=1,
+                                 max_size=4, unique=True))
+    plan = plan_multibroadcast(g, bb, sources, 1)
+    bands = plan.distribution
+    assert bands[0] == (bb.root,)
+    for d, band in enumerate(bands):
+        for m in band:
+            assert ref_depth(bb, m) == d
+            assert d == 0 or bb.parent[m] in bands[d - 1]
+    senders = set().union(*bands)
+    assert [m for band in bands for m in band] == \
+        [m for m in bb.depth if m in senders]
+
+    def covered_by(nodes):
+        return set(nodes).union(*(g.adjacency[m] for m in nodes))
+
+    assert covered_by(senders) == set(g.node_ids)
+    for m in senders - {bb.root}:
+        if not any(bb.parent[s] == m for s in senders):
+            assert covered_by(senders - {m}) != set(g.node_ids)
 
 
 def _finishes(call):
@@ -149,11 +178,11 @@ def test_plan_on_a_3000_member_path_backbone():
     bb = Backbone(members=tuple(range(n)), root=0, parent=parent)
     validate_backbone(g, bb)
     plan = plan_multibroadcast(g, bb, [n - 1, n // 2], 2)
-    assert list(plan.depth) == list(range(n))
-    assert plan.depth[n - 1] == n - 1 == bb.max_depth
+    assert list(bb.depth) == list(range(n))
+    assert bb.depth[n - 1] == n - 1 == bb.max_depth
     assert len(plan.load[0]) == 2 and len(plan.load[n // 2]) == 2
     assert len(plan.load[n // 2 + 1]) == 1
     # only the far end is redundant: its neighbour covers it
-    assert plan.senders == frozenset(range(n - 1))
+    assert set().union(*plan.distribution) == set(range(n - 1))
     assert len(_collection_stages(plan)) == n - 1
     assert len(_distribution_stages(g, plan)) == n - 1

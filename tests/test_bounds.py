@@ -113,6 +113,15 @@ def test_cd_stats_input_validation():
         expected_cd_stats(2, 4, 0.0)
 
 
+@pytest.mark.parametrize("stats", [expected_cd_stats, expected_nocd_stats],
+                         ids=["cd", "nocd"])
+@pytest.mark.parametrize("factor", [math.nan, math.inf], ids=["nan", "inf"])
+def test_stats_refuse_a_non_finite_slot_factor(stats, factor):
+    # NaN raised a bare ValueError from ceil(), inf an OverflowError
+    with pytest.raises(ValueError, match="slot_factor"):
+        stats(2, 4, factor)
+
+
 def test_cd_success_probability_matches_monte_carlo():
     # independent oracle: one sender, `degree` listeners, each listener
     # watched by `max_degree` rival transmitters on their own uniform slots;

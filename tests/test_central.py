@@ -21,6 +21,7 @@ from rumorcast.central import (
     plan_multibroadcast,
     simulate_schedule,
 )
+from rumorcast.distributed import _collection_stages
 
 from reception_reference import (arrival_simulate, delivery_times,
                                  transposed_holders)
@@ -132,15 +133,18 @@ def test_plan_holds_tree_loads_depths_and_pruned_senders():
     assert plan.own["d"] == (Rumor("d", 2), Rumor("d", 3), Rumor("d", 4))
     assert plan.load["c"] == plan.own["d"]
     assert plan.load["b"] == tuple(sorted(plan.rumors))
-    assert plan.depth == {"b": 0, "c": 1}
-    assert plan.senders == {"b", "c"}  # only c reaches d
+    assert [{bb.depth[m] for m in band} for band in plan.distribution] == \
+        [{0}, {1}]
+    assert set().union(*plan.distribution) == {"b", "c"}  # only c reaches d
     assert [len(b) for b in plan.chunks] == [2, 2, 1]
-    assert [len(b) for b in plan.batches("c")] == [2, 1]
+    assert [mask.bit_count() for stage in _collection_stages(plan)
+            for u, masks, _ in stage if u == "c" for mask in masks] == [2, 1]
 
     g, _ = star()
     bb = Backbone(members=("hub", "l0"), root="hub",
                   parent={"hub": None, "l0": "hub"})
-    assert plan_multibroadcast(g, bb, ["l1", "l2"], 1).senders == {"hub"}
+    plan = plan_multibroadcast(g, bb, ["l1", "l2"], 1)
+    assert set().union(*plan.distribution) == {"hub"}
 
 
 def test_batches_never_exceed_compression_factor():

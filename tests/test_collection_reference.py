@@ -35,7 +35,7 @@ def ref_multibroadcast_schedule(g, bb, sources, c):
     validate_backbone(g, bb)
     plan = plan_multibroadcast(g, bb, sources, c)
     units = sorted(plan.own)
-    root = plan.root
+    root = bb.root
     need = {u: len(plan.load[u]) for u in units}
     unsent = {u: list(plan.own[u]) for u in units}
     received = {u: len(plan.own[u]) for u in units}
@@ -58,9 +58,9 @@ def ref_multibroadcast_schedule(g, bb, sources, c):
         for p, got in arrivals.items():
             unsent[p] = sorted(unsent[p] + got)
             received[p] += len(got)
-    for m in plan.senders:
+    for m in set().union(*plan.distribution):
         for j, chunk in enumerate(plan.chunks, start=1):
-            by_round.setdefault(t + j + plan.depth[m], []).append(
+            by_round.setdefault(t + j + bb.depth[m], []).append(
                 Transmission(m, chunk))
     return _rounds_from_map(by_round)
 

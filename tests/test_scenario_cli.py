@@ -602,6 +602,41 @@ def test_cli_network_number_not_a_json_number_exits_2(tmp_path, capsys, net,
     assert err == f"error: {key} must {kind}, got {value!r}\n"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("net, where, key", [
+    (NODE_NET, _node, "x"),
+    (NODE_NET, _node, "y"),
+    (NODE_NET, _node, "power"),
+    (NODE_NET, _obstacle, "x1"),
+    (NODE_NET, _obstacle, "y1"),
+    (NODE_NET, _obstacle, "x2"),
+    (NODE_NET, _obstacle, "y2"),
+    (NODE_NET, _top, "alpha"),
+    (INT_PATH, _top, "alpha"),
+], ids=["x", "y", "power", "x1", "y1", "x2", "y2", "alpha-nodes",
+        "alpha-adjacency"])
+def test_cli_network_number_not_finite_exits_2(tmp_path, capsys, net, where,
+                                               key, value):
+    # Python's json reads NaN and Infinity; an infinite power used to run
+    net = json.loads(json.dumps(net))
+    where(net)[key] = value
+    err = _refused(tmp_path, capsys, {"name": "p", "network": net,
+                                      "sources": [1], "c": 1})
+    assert err == f"error: {key} must be finite, got {value!r}\n"
+
+
+@pytest.mark.parametrize("net", [NODE_NET, INT_PATH],
+                         ids=["nodes", "adjacency"])
+@pytest.mark.parametrize("alpha", [1.9, 4.1, 17])
+def test_cli_alpha_outside_its_range_exits_2_in_both_forms(tmp_path, capsys,
+                                                           net, alpha):
+    # the adjacency form used to take any alpha
+    err = _refused(tmp_path, capsys, {"name": "p", "network": {**net,
+                                      "alpha": alpha}, "sources": [1], "c": 1})
+    assert err == f"error: alpha must lie in [2.0, 4.0], got {float(alpha)}\n"
+
+
 def test_cli_disconnected_network_exits_2_in_every_verb(tmp_path, capsys):
     # validate used to pass a network that run and bounds then refused
     two_edges = {"adjacency": [[0, [1]], [1, [0]], [2, [3]], [3, [2]]]}
