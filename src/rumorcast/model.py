@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -143,9 +144,11 @@ class NetworkGraph:
 
     @cached_property
     def symmetric(self) -> bool:
-        for u, outs in self.adjacency.items():
+        adj = self.adjacency  # sorted tuples: one bisection per link
+        for u, outs in adj.items():
             for v in outs:
-                if u not in self.adjacency[v]:
+                i = bisect_left(adj[v], u)
+                if u not in adj[v][i:i + 1]:
                     return False
         return True
 
@@ -229,6 +232,12 @@ def build_network(nodes: Sequence[NodeSpec],
     up to GEOM_EPS; with ``strict=True`` links exactly at the radius are
     excluded instead.
 
+    Each unordered pair in the same or adjacent grid cells is measured
+    once, and that one ``hypot`` is exact for both directions (IEEE 754
+    gives a - b == -(b - a)), each tested against its sender's own limit.
+    Obstacles are tested per ordered link, sender first: the crossing
+    test's GEOM_EPS tolerance need not be symmetric in its endpoints.
+
     Raises ModelError for alpha outside [2, 4], duplicate ids, or
     non-positive powers.
     """
@@ -242,48 +251,50 @@ def build_network(nodes: Sequence[NodeSpec],
             raise ModelError(f"node {n.id!r} has non-positive power {n.power}")
 
     obstacles = tuple(obstacles)
-    reach = [u.radius(alpha) for u in nodes]
-    keys, cells = _grid(nodes, max(reach, default=0.0))
-    adj: dict[int | str, tuple[int | str, ...]] = {}
-    for (cx, cy), u, r in zip(keys, nodes, reach):
-        outs = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for v in cells.get((cx + dx, cy + dy), ()):
-                    if v.id == u.id:
-                        continue
-                    dist = math.hypot(v.x - u.x, v.y - u.y)
-                    if strict:
-                        in_range = dist < r - GEOM_EPS
-                    else:
-                        in_range = dist <= r + GEOM_EPS
-                    if in_range and not _link_blocked(u, v, obstacles):
-                        outs.append(v.id)
-        adj[u.id] = tuple(sorted(outs))
+    radii = [n.radius(alpha) for n in nodes]
+    # d < r - eps is d <= the float just below r - eps, so both modes test <=
+    limits = ([math.nextafter(r - GEOM_EPS, -math.inf) for r in radii]
+              if strict else [r + GEOM_EPS for r in radii])
+    cells = _grid([(n.id, n.x, n.y, lim, n) for n, lim in zip(nodes, limits)],
+                  max(radii, default=0.0))
+    outs: dict[int | str, list] = {n.id: [] for n in nodes}
+    hypot = math.hypot
+    for (cx, cy), cell in cells.items():
+        # each pair of adjacent cells meets once, from its left or lower one
+        near = [b for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1))
+                for b in cells.get((cx + dx, cy + dy), ())]
+        for i, (u, ux, uy, lu, un) in enumerate(cell):
+            for v, vx, vy, lv, vn in chain(cell[i + 1:], near):
+                d = hypot(vx - ux, vy - uy)
+                if d <= lu and not _link_blocked(un, vn, obstacles):
+                    outs[u].append(v)
+                if d <= lv and not _link_blocked(vn, un, obstacles):
+                    outs[v].append(u)
+    adj = {u: tuple(sorted(vs)) for u, vs in outs.items()}
     return NetworkGraph(nodes=tuple(nodes), obstacles=obstacles, alpha=alpha,
                         adjacency=adj, strict=strict)
 
 
-def _grid(nodes: Sequence[NodeSpec], max_reach: float) -> tuple[list, dict]:
-    """Bucket nodes into square cells a little wider than the longest link.
+def _grid(records: Sequence[tuple], max_reach: float) -> dict:
+    """Bucket records (id, x, y, ...) into cells a bit wider than a link.
 
     The cell side is ``max_reach + GEOM_EPS`` plus a rounding allowance
     relative to the coordinates, so the two ends of any link, even one at
     the inclusive boundary, sit in the same or in adjacent cells.
-    Returns each node's cell and the nodes of each occupied cell;
+    Returns the records of each occupied cell, in input order;
     non-finite coordinates put every node in one cell.
     """
-    span = max((abs(c) for n in nodes for c in (n.x, n.y)), default=0.0)
+    span = max((abs(c) for r in records for c in r[1:3]), default=0.0)
     side = max_reach + GEOM_EPS + 1e-12 * (max_reach + span)
     try:
-        keys = [(math.floor(n.x / side), math.floor(n.y / side))
-                for n in nodes]
+        keys = [(math.floor(r[1] / side), math.floor(r[2] / side))
+                for r in records]
     except (ValueError, OverflowError):
-        keys = [(0, 0)] * len(nodes)
-    cells: dict[tuple[int, int], list[NodeSpec]] = {}
-    for key, n in zip(keys, nodes):
-        cells.setdefault(key, []).append(n)
-    return keys, cells
+        keys = [(0, 0)] * len(records)
+    cells: dict[tuple[int, int], list[tuple]] = {}
+    for key, r in zip(keys, records):
+        cells.setdefault(key, []).append(r)
+    return cells
 
 
 def bfs_distances(g: NetworkGraph, src: int | str) -> dict[int | str, int]:
@@ -316,7 +327,9 @@ def diameter(g: NetworkGraph) -> int:
     of that BFS's deepest levels are then taken, level by level, until the
     lower bound reaches twice the next level's depth, an upper bound on
     every pair left.  Typical unit-disk graphs need tens of BFS passes
-    instead of one per node.  Directed graphs run one BFS per node.
+    instead of one per node.  When the midpoint reaches every node in one
+    hop the diameter is 1 on a clique and 2 otherwise, with no further
+    BFS.  Directed graphs run one BFS per node.
     """
     return g._diameter
 
@@ -336,6 +349,8 @@ def _ifub_diameter(g: NetworkGraph) -> int:
     for _ in range(lower // 2):
         mid = next(v for v in adj[mid] if from_a[v] == from_a[mid] - 1)
     from_mid = bfs_distances(g, mid)
+    if _eccentricity(from_mid)[1] == 1:  # then no pair is 3 hops apart
+        return 1 if all(len(o) == len(adj) - 1 for o in adj.values()) else 2
     levels: list[list] = [[] for _ in range(_eccentricity(from_mid)[1] + 1)]
     for v, d in from_mid.items():
         levels[d].append(v)

@@ -92,3 +92,63 @@ def test_non_finite_coordinates_build_like_all_pairs():
              NodeSpec(2, math.inf, 0.0, 1.0), NodeSpec(3, math.nan, 1.0, 1.0)]
     g = build_network(nodes)
     assert dict(g.adjacency) == reference_adjacency(nodes, [], 2.0, False)
+
+
+DIRECTIONS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+              if (dx, dy) != (0, 0)]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("offset", [-1e-12, 1e-12, GEOM_EPS - 1e-12,
+                                    GEOM_EPS + 1e-12])
+@pytest.mark.parametrize("strict", [False, True])
+def test_pair_across_each_cell_border(direction, offset, strict):
+    """Two nodes on opposite sides of a border, toward each of the eight
+    neighbour cells, so the pair is met from whichever cell walks the
+    other as a forward neighbour."""
+    radius, margin = 0.5, 0.1
+    dx, dy = direction
+    half = CELL / 2
+    ax, ay = half + dx * (half - margin), half + dy * (half - margin)
+    dist = radius + offset
+    norm = math.hypot(dx, dy)
+    bx, by = ax + dist * dx / norm, ay + dist * dy / norm
+    assert (math.floor(bx / CELL) - math.floor(ax / CELL),
+            math.floor(by / CELL) - math.floor(ay / CELL)) == direction
+    nodes = [NodeSpec("a", ax, ay, radius ** 2),
+             NodeSpec("b", bx, by, radius ** 2)]
+    g = build_network(nodes, strict=strict)
+    assert dict(g.adjacency) == reference_adjacency(nodes, [], 2.0, strict)
+    linked = not strict and offset < GEOM_EPS
+    assert g.adjacency == {"a": ("b",) if linked else (),
+                           "b": ("a",) if linked else ()}
+
+
+@pytest.mark.parametrize("strict, gap", [(False, 0.25), (False, 2 * GEOM_EPS),
+                                         (True, 0.25), (True, -GEOM_EPS / 2)])
+@pytest.mark.parametrize("ux", [0.1, 0.9])
+@pytest.mark.parametrize("u_first", [False, True])
+def test_one_distance_gives_a_one_way_link(strict, gap, ux, u_first):
+    """u (radius 1) reaches v (radius 0.5) at distance 0.5 + gap, and v
+    does not reach u; in one cell (ux = 0.1) or across a border."""
+    u = NodeSpec("u", ux, 0.5, 1.0)
+    v = NodeSpec("v", ux + 0.5 + gap, 0.5, 0.25)
+    nodes = [u, v] if u_first else [v, u]
+    g = build_network(nodes, strict=strict)
+    assert dict(g.adjacency) == reference_adjacency(nodes, [], 2.0, strict)
+    assert g.adjacency == {"u": ("v",), "v": ()}
+
+
+@pytest.mark.parametrize("sx, sy", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+@pytest.mark.parametrize("strict", [False, True])
+def test_distance_equal_to_the_limit(sx, sy, strict):
+    """d == r + eps is a link, d == r - eps is none in strict mode: the
+    distance is the limit itself, so rounding cannot decide the case."""
+    radius = 0.5
+    limit = radius - GEOM_EPS if strict else radius + GEOM_EPS
+    nodes = [NodeSpec("a", 0.0, 0.0, radius ** 2),
+             NodeSpec("b", sx * limit, sy * limit, radius ** 2)]
+    assert math.hypot(nodes[1].x, nodes[1].y) == limit
+    g = build_network(nodes, strict=strict)
+    assert dict(g.adjacency) == reference_adjacency(nodes, [], 2.0, strict)
+    assert g.adjacency["a"] == (() if strict else ("b",))

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rumorcast.model import (
@@ -263,3 +263,64 @@ def test_network_to_dict_matches_schema():
     d = network_to_dict(g)
     assert d["nodes"] == [{"id": 1, "x": 0.0, "y": 0.0, "power": 1.0}]
     assert d["obstacles"] == []
+
+
+def clique(n, missing=None):
+    adj = {u: {v for v in range(n) if v != u} for u in range(n)}
+    if missing:
+        u, v = missing
+        adj[u].discard(v)
+        adj[v].discard(u)
+    return NetworkGraph.from_adjacency(adj)
+
+
+@pytest.mark.parametrize("g, want", [
+    *[(clique(n), 1) for n in (2, 3, 50, 300)],
+    *[(clique(n, missing), 2) for n in (3, 50, 300)
+      for missing in ((0, 1), (n - 2, n - 1), (1, n - 1))],
+])
+def test_diameter_of_a_dense_graph_takes_at_most_four_bfs(monkeypatch, g,
+                                                          want):
+    """A midpoint that reaches every node in one hop settles the diameter;
+    the count includes the connectivity BFS."""
+    calls = []
+
+    def counting(graph, src):
+        calls.append(src)
+        return bfs_distances(graph, src)
+
+    monkeypatch.setattr("rumorcast.model.bfs_distances", counting)
+    assert diameter(g) == want
+    assert len(calls) <= 4
+
+
+@st.composite
+def graphs_with_a_hub(draw):
+    """A hub linked both ways to 103 or more nodes, plus random links; when
+    ``one_way``, some links lack their reverse, hub links among them."""
+    n = draw(st.integers(min_value=104, max_value=140))
+    name = str if draw(st.booleans()) else int
+    one_way = draw(st.booleans())
+    adj = {u: set(range(1, n)) if u == 0 else {0} for u in range(n)}
+    for u, v in draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)), max_size=60)):
+        if u != v:
+            adj[u].add(v)
+            if not (one_way and draw(st.booleans())):
+                adj[v].add(u)
+    if one_way:
+        for u, v in draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1)),
+                                 max_size=3)):
+            adj[u].discard(v)
+    return NetworkGraph.from_adjacency(
+        {name(u): [name(v) for v in vs] for u, vs in adj.items()})
+
+
+@given(graphs_with_a_hub())
+@settings(max_examples=150, deadline=None)
+def test_symmetric_matches_a_set_of_links(g):
+    links = {(u, v) for u, outs in g.adjacency.items() for v in outs}
+    want = all((v, u) in links for u, v in links)
+    assert g.symmetric == want
+    event("symmetric" if want else "one-way")
