@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .backbone import Backbone, build_arborescence, validate_backbone
 from .model import ModelError, NetworkGraph, jammed
@@ -93,12 +93,15 @@ class Schedule:
                          for tx in rnd for r in tx.batch.rumors)
 
 
-def rumors_in(rumors: Sequence[Rumor], mask: int) -> Iterator[Rumor]:
-    """The rumors whose bits are set in ``mask``, lowest bit first."""
+def rumors_in(rumors: Sequence, mask: int) -> list:
+    """The items of ``rumors`` whose bits are set in ``mask``, lowest bit
+    first: the rumors of a rumor mask, or the nodes of a node mask."""
+    out = []
     while mask:
         low = mask & -mask
-        yield rumors[low.bit_length() - 1]
+        out.append(rumors[low.bit_length() - 1])
         mask ^= low
+    return out
 
 
 @dataclass(frozen=True)

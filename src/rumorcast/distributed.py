@@ -28,9 +28,11 @@ The slot layer knows rumors only as int masks: a node holds a rumor
 mask and queues the masks of the batches it must send, so a clean
 reception is one ``|=`` of the sender's front mask.  A full run numbers
 the plan's rumors once, bit i for ``plan.rumors[i]``, and turns rumors
-into masks and back only at its edges.  A round keeps the raw slot and
-ack data it already computed and builds its ``SlotRecord``s only when
-they are read, which untraced runs never do.
+into masks and back only at its edges.  Its checks, plan and stage
+masks are built once per (graph, backbone, sources, c) and kept on the
+graph, so the seeds of an experiment share them.  A round keeps the raw
+slot and ack data it already computed and builds its ``SlotRecord``s
+only when they are read, which untraced runs never do.
 
 Reception in a slot follows ``model.jammed`` over the talkers' reach
 masks: a listener reached by two or more talkers is jammed, one reached by
@@ -272,32 +274,43 @@ def _draws(states: Mapping, nodes: Iterable, half: int,
 
 
 def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
-               front: Mapping, slots: list) -> tuple[set, dict, int]:
+               front: Mapping, slots: list) -> tuple[int, dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
-    A listener that exactly one talker reaches takes the batch.  Appends each
-    slot's ``("data", slot, talkers, deaf, jam)`` to ``slots``.  Returns
-    the listeners that got data, each listener's first collision slot, and
-    the number of collisions heard.
+    A listener that exactly one talker reaches takes the batch.  A talker
+    whose reach meets no jammed or deaf node hands its batch to every
+    neighbor in one plain pass; only the others test each listener.
+    Appends each slot's ``("data", slot, talkers, deaf, jam)`` to
+    ``slots``.  Returns the node mask of the listeners that got data and
+    sent none, each listener's first collision slot, and the number of
+    collisions heard.
     """
     index = g.node_index
-    got_data: set = set()
+    reach = g.reach
+    got = talked = 0
     first_collision: dict = {}
     collisions_heard = 0
     for s, talking in _by_slot(slot_of).items():
         deaf, jam = _slot(g, talking)
+        blocked = jam | deaf
         for u in talking:
             sent = front[u]
+            heard = reach[u] & ~blocked
+            got |= heard
+            if heard == reach[u]:
+                for v in g.adjacency[u]:
+                    states[v].held |= sent
+                continue
             for v in g.adjacency[u]:
                 bit = 1 << index[v]
                 if bit & jam:
                     first_collision.setdefault(v, s)
                 elif not bit & deaf:
                     states[v].held |= sent
-                    got_data.add(v)
+        talked |= deaf
         collisions_heard += jam.bit_count()
         slots.append(("data", s, talking, deaf, jam))
-    return got_data, first_collision, collisions_heard
+    return got & ~talked, first_collision, collisions_heard
 
 
 def _open_round(g: NetworkGraph, states: Mapping, transmitters: Iterable,
@@ -385,12 +398,12 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
             raise DistributedError(
                 f"transmitter {u!r} addresses non-neighbors {sorted(extra, key=str)}")
     slots: list = []
-    got_data, _, collisions_heard = _data_half(g, states, slot_of, front,
-                                               slots)
+    got, _, collisions_heard = _data_half(g, states, slot_of, front, slots)
 
     # every listener that received data this round acks once; ackers are
-    # never simultaneously data senders, so one slot each suffices
-    ackers = sorted(got_data.difference(slot_of))
+    # never simultaneously data senders, so one slot each suffices.  They
+    # come off the mask in node_ids order, which is sorted order
+    ackers = rumors_in(g.node_ids, got)
     ack_slot = _draws(states, ackers, half, half + 1)
     sharing: dict = {}
     for v, s in ack_slot.items():
@@ -470,6 +483,77 @@ def _distribution_stages(g: NetworkGraph, plan: Plan):
             for band in bands if band]
 
 
+def _prepare(g: NetworkGraph, bb: Backbone, sources: Sequence[int | str],
+             compression: int) -> tuple[Plan, list]:
+    """Check a run's inputs, then build its plan and its stages.
+
+    The result is kept in the graph's instance dict as one entry for this
+    backbone (by identity), these sources and this compression factor, so
+    the seeds of one experiment check and plan once; a call with another
+    backbone, other sources or another factor checks and plans afresh and
+    replaces the entry, and a failed check keeps nothing.
+    """
+    sources = tuple(sources)
+    key = (sources, compression)
+    kept = vars(g).get("_distributed_prep")
+    if kept is not None and kept[0] is bb and kept[1] == key:
+        return kept[2]
+    if compression < 1:
+        raise DistributedError(
+            f"compression factor must be >= 1, got {compression}")
+    if not sources:
+        raise DistributedError("no sources given")
+    if not g.symmetric:
+        raise DistributedError(
+            "the distributed simulator needs a symmetric network")
+    validate_backbone(g, bb)
+    for s in sources:
+        if s not in g.adjacency:
+            raise ModelError(f"unknown source {s!r}")
+    plan = plan_multibroadcast(g, bb, sources, compression)
+    prepared = plan, _collection_stages(plan) + _distribution_stages(g, plan)
+    vars(g)["_distributed_prep"] = (bb, key, prepared)
+    return prepared
+
+
+def _run_stage(g: NetworkGraph, states: Mapping, stage: list, run_round,
+               cfg: SimConfig, rounds: int, trace: IO | None) -> tuple:
+    """Arm one stage's units and run rounds until all are done or round
+    ``cfg.max_rounds`` has run, numbering them on from ``rounds``.
+
+    Returns the rounds run, the data and control messages, the collisions
+    heard, each unit's retransmissions and whether the round cap cut the
+    stage short.
+    """
+    audience_of = {}
+    for u, batches, audience in stage:
+        states[u].pending = deque(batches)
+        states[u].awaiting_ack = set(audience)
+        audience_of[u] = audience
+    retx = dict.fromkeys(audience_of, 0)
+    active = set(audience_of)  # every unit has a batch to send
+    left = cfg.max_rounds - rounds
+    used = data_messages = control_messages = collisions_heard = 0
+    while active and used < left:
+        used += 1
+        log = run_round(g, states, active, cfg, round_index=rounds + used)
+        if trace is not None:
+            trace.writelines(rec.to_json() + "\n" for rec in log.records)
+        data_messages += log.data_messages
+        control_messages += log.control_messages
+        collisions_heard += log.collisions_heard
+        if used < left:  # a failed sender sends again
+            for u in active - log.succeeded:
+                retx[u] += 1
+        for u in log.succeeded:
+            if states[u].pending:
+                states[u].awaiting_ack = set(audience_of[u])
+            else:
+                active.discard(u)
+    return (used, data_messages, control_messages, collisions_heard, retx,
+            bool(active))
+
+
 def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
                                    sources: Sequence[int | str],
                                    compression: int, cfg: SimConfig,
@@ -483,58 +567,27 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
     Contention inside a stage is resolved by the randomized rounds.  When
     max_rounds runs out the metrics report whatever is still undelivered.
     With ``trace``, each round's slot records are written as JSONL lines.
+    The checks, the plan and the stages come from ``_prepare``, so repeated
+    seeds on one graph, backbone, source list and factor share them.
     """
-    if compression < 1:
-        raise DistributedError(
-            f"compression factor must be >= 1, got {compression}")
-    if not sources:
-        raise DistributedError("no sources given")
-    if not g.symmetric:
-        raise DistributedError(
-            "the distributed simulator needs a symmetric network")
-    validate_backbone(g, bb)
-    for s in sources:
-        if s not in g.adjacency:
-            raise ModelError(f"unknown source {s!r}")
-
-    plan = plan_multibroadcast(g, bb, sources, compression)
+    plan, stages = _prepare(g, bb, sources, compression)
     states = init_states(g, cfg)
     for i, r in enumerate(plan.rumors):  # bit i is plan.rumors[i]
         states[r.source].held |= 1 << i
 
     run_round = run_round_cd if cfg.mode == "cd" else run_round_nocd
-    stages = _collection_stages(plan) + _distribution_stages(g, plan)
-
-    rounds = 0
-    data_messages = 0
-    control_messages = 0
-    collisions_heard = 0
+    rounds = data_messages = control_messages = collisions_heard = 0
     retx: dict = {}
     for stage in stages:
-        audience_of = {}
-        for u, batches, audience in stage:
-            states[u].pending = deque(batches)
-            states[u].awaiting_ack = set(audience)
-            audience_of[u] = audience
-            retx.setdefault(u, 0)
-        active = set(audience_of)  # every unit has a batch to send
-        while active and rounds < cfg.max_rounds:
-            rounds += 1
-            log = run_round(g, states, active, cfg, round_index=rounds)
-            if trace is not None:
-                trace.writelines(rec.to_json() + "\n" for rec in log.records)
-            data_messages += log.data_messages
-            control_messages += log.control_messages
-            collisions_heard += log.collisions_heard
-            if rounds < cfg.max_rounds:  # a failed sender sends again
-                for u in active - log.succeeded:
-                    retx[u] += 1
-            for u in log.succeeded:
-                if states[u].pending:
-                    states[u].awaiting_ack = set(audience_of[u])
-                else:
-                    active.discard(u)
-        if active:  # out of rounds
+        used, data, control, heard, stage_retx, cut = _run_stage(
+            g, states, stage, run_round, cfg, rounds, trace)
+        rounds += used
+        data_messages += data
+        control_messages += control
+        collisions_heard += heard
+        for u, n in stage_retx.items():
+            retx[u] = retx.get(u, 0) + n
+        if cut:
             break
 
     everything = (1 << len(plan.rumors)) - 1

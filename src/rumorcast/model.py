@@ -107,8 +107,9 @@ class NetworkGraph:
 
     A graph is immutable after construction: ``node_ids``, ``symmetric``,
     ``max_degree``, the reach masks, strong connectivity and the diameter
-    are computed at most once per graph and cached on it, as is the
-    greedy backbone (``backbone.greedy_cds``).
+    are computed at most once per graph and cached on it, as are the
+    greedy backbone (``backbone.greedy_cds``) and the latest distributed
+    run's checked plan and stages (``distributed._prepare``).
     """
 
     nodes: tuple[NodeSpec, ...]

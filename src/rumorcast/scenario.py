@@ -14,7 +14,10 @@ collision-free, and simulate it with interference on; they do not depend
 on the seed, so every seed row repeats the same measurements.
 Distributed runs reseed the slotted protocol per seed; the scenario's
 ``cfg`` carries the slot sizing while the mode and seed are stamped in
-at run time.
+at run time.  The backbone is built once for all seeds, and the
+distributed checks, plan and stage masks once per (graph, backbone,
+sources, c), kept on the graph, so each seed only arms fresh node
+states and runs the rounds, whose data slots deliver by node masks.
 """
 
 from __future__ import annotations

@@ -12,18 +12,21 @@ the library rumor masks, bit i of a mask standing for ``pool[i]``.  The
 same check runs on random directed graphs, where one-way links make a
 listener's talkers differ from the nodes it reaches, and on one fixed
 NoCD round in which three senders address one acker and a rival acker
-jams only the middle sender's ack.
+jams only the middle sender's ack, and on fixed slots that send talkers
+down both paths of the data half: the plain pass of a talker that reaches
+no jammed or deaf node, and the per-listener test of the others.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rumorcast.central import Batch, Rumor
 from rumorcast.distributed import (DistributedError, SimConfig, SlotRecord,
-                                   init_states, node_rng, run_round_cd,
-                                   run_round_nocd, slot_count)
+                                   _data_half, init_states, node_rng,
+                                   run_round_cd, run_round_nocd, slot_count)
 from rumorcast.model import ModelError, NetworkGraph
 
 from reception_reference import hearing
@@ -305,5 +308,69 @@ def test_ack_verdicts_keep_sender_order():
     assert acks["v"].receivers_collided == ("b",)
     assert acks["z"].receivers_collided == ("b",)
     assert got.succeeded == want.succeeded == {"a", "c"}
+    assert got.collisions_heard == want.collisions_heard
+    same_nodes(g, pool, ref, new)
+
+
+# In slot 1 "A" reaches its co-talker "B", "J", which "B" jams, and "K";
+# "D" reaches only "L" and "M", which no other talker reaches.  In slot 2
+# "E" and "F" jam "J" again and "P" for the first time, while "K" and "N"
+# hear one of them
+BOTH_PATHS = {"A": ["B", "J", "K"], "B": ["A", "J"], "D": ["L", "M"],
+              "E": ["J", "K", "P"], "F": ["J", "N", "P"],
+              "J": ["A", "B", "E", "F"], "K": ["A", "E"], "L": ["D"],
+              "M": ["D"], "N": ["F"], "P": ["E", "F"]}
+BOTH_PATHS_ACKS = {"A": {"K"}, "B": {"J"}, "D": {"L", "M"}, "E": {"P"},
+                   "F": {"N"}}
+
+
+def both_paths_states(mode):
+    g = NetworkGraph.from_adjacency(BOTH_PATHS)
+    # one slot per half-round: every sender talks in slot 1
+    cfg = SimConfig(slot_factor=0.25, mode=mode, seed=3)
+    assert slot_count(g, cfg) == 1
+    pool = [Rumor(u, 0) for u in sorted(BOTH_PATHS_ACKS)]
+    ref = ref_states(g, cfg)
+    new = init_states(g, cfg)
+    for u, rumor in zip(sorted(BOTH_PATHS_ACKS), pool):
+        ref[u].pending = deque([Batch((rumor,))])
+        new[u].pending = deque([mask_of(pool, [rumor])])
+        ref[u].awaiting_ack = set(BOTH_PATHS_ACKS[u])
+        new[u].awaiting_ack = set(BOTH_PATHS_ACKS[u])
+    return g, cfg, pool, ref, new
+
+
+def test_data_half_takes_both_paths_as_the_reference_does():
+    g, _, pool, ref, new = both_paths_states("cd")
+    slot_of = {"A": 1, "B": 1, "D": 1, "E": 2, "F": 2}
+    want_got, want_first, want_heard = ref_data_half(g, ref, slot_of, [], 1)
+    got, first, heard = _data_half(
+        g, new, slot_of, {u: new[u].pending[0] for u in slot_of}, [])
+    assert first == want_first == {"J": 1, "P": 2}
+    # the listeners that got data and sent none, as one node mask
+    assert got == sum(1 << g.node_index[v] for v in want_got - set(slot_of))
+    assert want_got == {"K", "L", "M", "N"}
+    assert heard == want_heard
+    same_nodes(g, pool, ref, new)
+
+
+@pytest.mark.parametrize("mode", ["cd", "nocd"])
+def test_rounds_with_both_data_paths_match_the_reference(mode):
+    g, cfg, pool, ref, new = both_paths_states(mode)
+    run_ref = ref_round_cd if mode == "cd" else ref_round_nocd
+    run_new = run_round_cd if mode == "cd" else run_round_nocd
+    want = run_ref(g, ref, BOTH_PATHS_ACKS, cfg)
+    got = run_new(g, new, BOTH_PATHS_ACKS, cfg)
+    assert ([r.to_json() for r in got.records]
+            == [r.to_json() for r in want.records])
+    by_kind = {}
+    for r in got.records:
+        by_kind.setdefault(r.kind, []).append(r.transmitter)
+    if mode == "cd":  # each jammed listener echoes in slot 1 + 1
+        assert by_kind["error"] == ["J", "K", "P"]
+        assert {r.slot for r in got.records if r.kind == "error"} == {2}
+    else:  # the clean listeners ack, in sorted order
+        assert by_kind["ack"] == ["L", "M", "N"]
+    assert got.succeeded == want.succeeded
     assert got.collisions_heard == want.collisions_heard
     same_nodes(g, pool, ref, new)
