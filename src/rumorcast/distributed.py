@@ -160,7 +160,7 @@ class SlotRecord:
         }, sort_keys=True)
 
 
-@dataclass(frozen=True)
+@dataclass
 class RoundLog:
     """What one simulated round did.
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -103,7 +102,9 @@ class NetworkGraph:
 
     ``adjacency`` maps each node id to its out-neighbors sorted by id.
     ``symmetric`` reports whether every link is bidirectional, which holds
-    automatically when all powers are equal.
+    automatically when all powers are equal.  One transposition of the
+    adjacency, O(m), gives each node its sorted in-list, and the graph is
+    symmetric when every in-list equals the node's out-tuple.
 
     A graph is immutable after construction: ``node_ids``, ``symmetric``,
     ``max_degree``, the reach masks, strong connectivity and the diameter
@@ -145,13 +146,12 @@ class NetworkGraph:
 
     @cached_property
     def symmetric(self) -> bool:
-        adj = self.adjacency  # sorted tuples: one bisection per link
-        for u, outs in adj.items():
-            for v in outs:
-                i = bisect_left(adj[v], u)
-                if u not in adj[v][i:i + 1]:
-                    return False
-        return True
+        adj = self.adjacency
+        ins: dict[int | str, list] = {u: [] for u in adj}
+        for u in self.node_ids:  # ascending, so every in-list comes out sorted
+            for v in adj[u]:
+                ins[v].append(u)
+        return all(tuple(ins[u]) == outs for u, outs in adj.items())
 
     @cached_property
     def max_degree(self) -> int:
@@ -238,6 +238,7 @@ def build_network(nodes: Sequence[NodeSpec],
     gives a - b == -(b - a)), each tested against its sender's own limit.
     Obstacles are tested per ordered link, sender first: the crossing
     test's GEOM_EPS tolerance need not be symmetric in its endpoints.
+    A placement without obstacles makes no obstacle test.
 
     Raises ModelError for alpha outside [2, 4], duplicate ids, or
     non-positive powers.
@@ -267,9 +268,11 @@ def build_network(nodes: Sequence[NodeSpec],
         for i, (u, ux, uy, lu, un) in enumerate(cell):
             for v, vx, vy, lv, vn in chain(cell[i + 1:], near):
                 d = hypot(vx - ux, vy - uy)
-                if d <= lu and not _link_blocked(un, vn, obstacles):
+                if d <= lu and not (obstacles
+                                    and _link_blocked(un, vn, obstacles)):
                     outs[u].append(v)
-                if d <= lv and not _link_blocked(vn, un, obstacles):
+                if d <= lv and not (obstacles
+                                    and _link_blocked(vn, un, obstacles)):
                     outs[v].append(u)
     adj = {u: tuple(sorted(vs)) for u, vs in outs.items()}
     return NetworkGraph(nodes=tuple(nodes), obstacles=obstacles, alpha=alpha,
