@@ -4,6 +4,10 @@ A backbone is a connected dominating set of a symmetric network together
 with a root and a spanning arborescence over its members.  Rumor traffic is
 collected and redistributed along that arborescence, so backbone size and
 induced diameter directly bound message and round counts.
+
+``greedy_cds`` grows the set by coverage picks; ``bounded_diameter_cds``
+thickens it with root paths read off one breadth-first tree of the whole
+network; ``brute_force_mcds`` is the exact oracle for small networks.
 """
 
 from __future__ import annotations
@@ -12,16 +16,18 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .model import (
     DisconnectedError,
     ModelError,
     NetworkGraph,
-    bfs_distances,
     diameter,
     is_strongly_connected,
 )
+# Unused here, but perfbench/selftest.py checks that its tracer rebinds
+# this module's copy of bfs_distances.
+from .model import bfs_distances  # noqa: F401
 
 BRUTE_FORCE_NODE_LIMIT = 16
 
@@ -98,10 +104,11 @@ def _require_symmetric(g: NetworkGraph, what: str) -> None:
         raise ModelError(f"{what} requires a symmetric network")
 
 
-def _member_walk(g: NetworkGraph, group: set, root: int | str) -> dict:
+def _member_walk(g: NetworkGraph, group: Container, root: int | str) -> dict:
     """Breadth-first parent links from ``root`` (parent None) over the
     subgraph ``group`` induces, keyed in visit order; members the walk
-    cannot reach are left out."""
+    cannot reach are left out.  ``g.adjacency`` as the group walks the
+    whole network."""
     parent: dict = {root: None}
     order = [root]
     for u in order:  # grows while iterated: a breadth-first walk
@@ -110,12 +117,6 @@ def _member_walk(g: NetworkGraph, group: set, root: int | str) -> dict:
                 parent[v] = u
                 order.append(v)
     return parent
-
-
-def _members_connected(g: NetworkGraph, members: set) -> bool:
-    if not members:
-        return False
-    return len(_member_walk(g, members, next(iter(members)))) == len(members)
 
 
 def build_arborescence(g: NetworkGraph, members: Sequence,
@@ -158,7 +159,7 @@ def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
         group, *(g.adjacency[m] for m in group))
     if uncovered:
         raise BackboneError(f"node {min(uncovered)!r} is not dominated")
-    if not _members_connected(g, group):
+    if len(_member_walk(g, group, bb.root)) != len(group):
         raise BackboneError("members do not induce a connected subgraph")
     if set(bb.parent) != group:
         raise BackboneError("parent map must cover exactly the members")
@@ -314,11 +315,10 @@ def brute_force_mcds(g: NetworkGraph) -> Backbone:
                 mask |= cover[u]
             if mask != full:
                 continue
-            if not _members_connected(g, set(combo)):
-                continue
-            root = combo[0]
-            return Backbone(members=combo, root=root,
-                            parent=build_arborescence(g, combo, root))
+            # the walk that connects the members is the arborescence
+            parent = _member_walk(g, set(combo), combo[0])
+            if len(parent) == size:
+                return Backbone(members=combo, root=combo[0], parent=parent)
     raise DisconnectedError("no connected dominating set exists")
 
 
@@ -334,9 +334,6 @@ def dfs_cluster(g: NetworkGraph, members: Sequence) -> ClusterAssignment:
     group = set(members)
     if not group:
         raise BackboneError("cannot cluster an empty member set")
-    if not _members_connected(g, group):
-        raise BackboneError("members do not induce a connected subgraph")
-    slab = max(1, diameter(g))
     root = min(group)
     depth_of = {root: 0}
     stack = [root]
@@ -347,6 +344,11 @@ def dfs_cluster(g: NetworkGraph, members: Sequence) -> ClusterAssignment:
             if v not in depth_of:
                 depth_of[v] = depth_of[u] + 1
                 stack.append(v)
+    # the DFS reaches every member only if they induce a connected
+    # subgraph; that is checked before the network's diameter is asked for
+    if len(depth_of) != len(group):
+        raise BackboneError("members do not induce a connected subgraph")
+    slab = max(1, diameter(g))
     cluster_of = {m: depth_of[m] // slab for m in group}
     leaders: dict[int, int | str] = {}
     for m in sorted(group):
@@ -354,23 +356,6 @@ def dfs_cluster(g: NetworkGraph, members: Sequence) -> ClusterAssignment:
         if j not in leaders:
             leaders[j] = m
     return ClusterAssignment(cluster_of=cluster_of, leaders=leaders)
-
-
-def _lex_shortest_path(g: NetworkGraph, src: int | str, dst: int | str) -> list:
-    """Lexicographically smallest shortest path, as a node list src..dst."""
-    dist_src = bfs_distances(g, src)
-    dist_dst = bfs_distances(g, dst)
-    if dst not in dist_src:
-        raise DisconnectedError(f"no path {src!r} -> {dst!r}")
-    path = [src]
-    cur = src
-    while cur != dst:
-        step = min(v for v in g.adjacency[cur]
-                   if dist_src.get(v) == dist_src[cur] + 1
-                   and dist_dst.get(v) == dist_dst[cur] - 1)
-        path.append(step)
-        cur = step
-    return path
 
 
 def bounded_diameter_cds(g: NetworkGraph,
@@ -383,16 +368,26 @@ def bounded_diameter_cds(g: NetworkGraph,
     connected dominating set, and has at most 3x the base size; its induced
     diameter is bounded by a small multiple of the network diameter because
     every member sits within one band of a leader wired straight to the root.
+
+    All those paths come from one breadth-first tree of the whole network
+    from the root.  A FIFO walk over sorted neighbor tuples visits each
+    level in the lexicographic order of its nodes' smallest shortest paths,
+    so a node's first discoverer is its predecessor on that path; climbing
+    the tree's parent links from a leader reads the path backwards.
     """
     _require_symmetric(g, "bounded_diameter_cds")
     if base is None:
         base = greedy_cds(g)
     clusters = dfs_cluster(g, base.members)
     root = min(base.members)
-    members = set(base.members)
-    for j in sorted(clusters.leaders):
-        leader = clusters.leaders[j]
-        members.update(_lex_shortest_path(g, root, leader))
-    out = tuple(sorted(members))
+    tree = _member_walk(g, g.adjacency, root)
+    spliced: set = set()
+    for v in clusters.leaders.values():
+        # a path's prefixes are the smallest paths to their own ends, so a
+        # climb may stop where an earlier one passed
+        while v is not None and v not in spliced:
+            spliced.add(v)
+            v = tree[v]
+    out = tuple(sorted(spliced.union(base.members)))
     return Backbone(members=out, root=root,
                     parent=build_arborescence(g, out, root))

@@ -5,6 +5,8 @@ least once, and any schedule must push rumors across a minimum connected
 dominating set, at most ``compression`` rumors per message.  The time floor
 is the network diameter.  The slot expectations predict the behavior of the
 randomized per-round transmission routines and serve as test oracles.
+Closed forms that only tests compare against (the fractional message floor
+and the star-path optimum) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,31 +33,6 @@ def message_lower_bound(rumor_count: int, compression: int,
         raise ValueError(f"rumor count must be >= 1, got {rumor_count}")
     relay_msgs = -(-rumor_count * (mcds_size - 1) // compression)
     return max(rumor_count, relay_msgs)
-
-
-def message_lower_bound_raw(rumor_count: int, compression: int,
-                            mcds_size: int) -> float:
-    """The fractional form of message_lower_bound, for ratio denominators."""
-    if compression < 1:
-        raise ValueError(f"compression must be >= 1, got {compression}")
-    return max(float(rumor_count),
-               rumor_count * (mcds_size - 1) / compression)
-
-
-def time_lower_bound_star_path(rumor_count: int, compression: int,
-                               diam: int) -> int:
-    """Exact optimum round count for the hub-and-tail family.
-
-    With all rumors at peripheral nodes of a hub that feeds a tail of
-    diameter ``diam``, the hub must relay ceil(k/c) batches and the last
-    batch still has to walk the tail: ceil(k/c) + diam - 1 rounds.
-    General graphs get diameter(g) as the universal floor instead.
-    """
-    if rumor_count < 1 or diam < 1:
-        raise ValueError("rumor count and diameter must be >= 1")
-    if compression < 1:
-        raise ValueError(f"compression must be >= 1, got {compression}")
-    return -(-rumor_count // compression) + diam - 1
 
 
 @dataclass(frozen=True)

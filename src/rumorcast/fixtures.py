@@ -1,5 +1,5 @@
 """Named test networks: random unit-disk graphs, the hub-and-ring stress
-case, the star-with-tail timing case, and a three-tier covering reduction.
+case and the star-with-tail timing case, plus the spread source pick.
 
 All generators are deterministic: equal inputs give equal graphs.
 """
@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
 
 from .model import (
     NetworkGraph,
     NodeSpec,
-    Obstacle,
     bfs_distances,
     build_network,
     diameter,
@@ -33,11 +31,15 @@ def gen_random_udg(n: int, radius: float, seed: int = 0,
     Equal power makes every link symmetric.  A square of side A with
     radius r is this square with radius r / A, and the path-loss
     exponent cancels out of a shared radius, so neither is a parameter.
+    The radius must be positive and its power, the radius squared, finite,
+    so that a scenario file can hold it.
     """
     if n < 1:
         raise FixtureError(f"need at least one node, got {n}")
-    if radius <= 0:
-        raise FixtureError("radius must be positive")
+    # false for nan too; the product is inf where the power would overflow
+    if not (radius > 0 and radius * radius < math.inf):
+        raise FixtureError(f"radius must be positive with a finite square, "
+                           f"got {radius}")
     rng = random.Random(seed)
     power = radius ** 2.0
     for _ in range(max(1, connect_retry)):
@@ -89,77 +91,6 @@ def gen_star_path(k: int, d: int) -> tuple[NetworkGraph, list]:
         if idx + 1 < len(chain):
             adj[cur].append(chain[idx + 1])
     return NetworkGraph.from_adjacency(adj), sources
-
-
-def gen_set_cover_reduction(universe, subsets: Sequence,
-                            gossip_k: int = 1) -> tuple[NetworkGraph, list]:
-    """Three-tier covering network realized with powers and obstacles.
-
-    Sources sit far above with just enough power to reach every middle-tier
-    node and nothing below; middle-tier nodes share a large power that
-    reaches each other and the whole bottom tier; bottom-tier nodes are
-    mute. A short wall across each non-member (middle, bottom) segment
-    removes exactly the links outside the membership relation, so message
-    flow is sources -> middle tier -> covered elements.
-    """
-    universe = set(universe)
-    if not universe:
-        raise FixtureError("universe must be non-empty")
-    if gossip_k < 1:
-        raise FixtureError("gossip_k must be >= 1")
-    covered = set()
-    for s in subsets:
-        extra = set(s) - universe
-        if extra:
-            raise FixtureError(f"subset values outside universe: {sorted(map(str, extra))}")
-        covered |= set(s)
-    if covered != universe:
-        raise FixtureError(
-            f"subsets do not cover the universe; missing {sorted(map(str, universe - covered))}")
-    elems = sorted(universe, key=str)
-    if len(elems) > 99:
-        raise FixtureError("at most 99 distinct elements supported")
-    spacing = 100.0
-    m = len(subsets)
-    ground_span = spacing * (m - 1) + len(elems) + 2
-    half_span = spacing * (m - 1) / 2 + gossip_k + 1
-    height = (half_span + ground_span) ** 2 + 1
-
-    nodes = [NodeSpec(f"elem{i}", float(i), 0.0, 0.5 ** 2)
-             for i in range(len(elems))]
-    nodes += [NodeSpec(f"set{j}", spacing * j, 1.0, ground_span ** 2)
-              for j in range(m)]
-    reach = math.hypot(half_span, height - 1) + 0.001
-    sources = [f"src{t}" for t in range(gossip_k)]
-    nodes += [NodeSpec(name, spacing * (m - 1) / 2 + t, height, reach ** 2)
-              for t, name in enumerate(sources)]
-
-    index_of = {v: i for i, v in enumerate(elems)}
-    walls = []
-    for j, s in enumerate(subsets):
-        members = {index_of[v] for v in set(s)}
-        for i in range(len(elems)):
-            if i not in members:
-                center = (spacing * j + i) / 2
-                walls.append(Obstacle(center - 0.2, 0.5, center + 0.2, 0.5))
-    return build_network(nodes, walls, alpha=2.0), sources
-
-
-def gen_leaf_source_path() -> tuple[NetworkGraph, str]:
-    """Four-node path with the rumor starting at an end node.
-
-    The smallest backbone is the two middle nodes, and broadcasting from
-    the leaf costs one extra hand-off message.
-    """
-    g = NetworkGraph.from_adjacency(
-        {"a": ["b"], "b": ["a", "c"], "c": ["b", "d"], "d": ["c"]})
-    return g, "a"
-
-
-def gen_internal_source_path() -> tuple[NetworkGraph, str]:
-    """Same path, rumor starting on a backbone node: no hand-off needed."""
-    g, _ = gen_leaf_source_path()
-    return g, "b"
 
 
 def pick_sources(g: NetworkGraph, count: int) -> list:

@@ -512,6 +512,15 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
         raise ModelError(f"malformed network description: {exc}") from exc
 
 
-def load_network(path: str) -> NetworkGraph:
+def _read_json(path: str, error: type[ValueError]):
+    """The JSON value in the file at ``path``; nesting too deep for the
+    parser's recursion raises ``error``, as other malformed input does."""
     with open(path, encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise error(f"{path}: JSON nested too deeply") from exc
+
+
+def load_network(path: str) -> NetworkGraph:
+    return network_from_dict(_read_json(path, ModelError))

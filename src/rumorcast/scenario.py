@@ -22,7 +22,6 @@ states and runs the rounds, whose data slots deliver by node masks.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 from dataclasses import dataclass, field, replace
@@ -34,8 +33,9 @@ from .bounds import BoundReport, bound_report
 from .central import (Rumor, make_collision_free, multibroadcast_schedule,
                       simulate_schedule)
 from .distributed import SimConfig, run_distributed_multibroadcast, slot_count
-from .model import (NetworkGraph, _check_ids, _number, is_strongly_connected,
-                    load_network, network_from_dict, network_to_dict)
+from .model import (NetworkGraph, _check_ids, _number, _read_json,
+                    is_strongly_connected, load_network, network_from_dict,
+                    network_to_dict)
 
 MODES = ("centralized", "distributed-cd", "distributed-nocd")
 BACKBONE_KINDS = ("greedy", "bounded-diameter", "oracle")
@@ -191,8 +191,7 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path, ScenarioError)
     return scenario_from_dict(data, base_dir=os.path.dirname(path) or ".")
 
 
@@ -289,20 +288,15 @@ def run_experiment(scenario: Scenario,
     if not seeds:
         raise ScenarioError("no seeds given")
     g = scenario.network
+    central = None
     try:
         bb = build_backbone(g, scenario.backbone_kind)
         report = bound_report(g, scenario.rumor_count, scenario.compression)
+        if scenario.mode == "centralized":
+            central = _centralized_outcome(scenario, bb)
     except ValueError as err:
         raise ScenarioError(
             f"scenario {scenario.name!r}: {err}") from err
-
-    central = None
-    if scenario.mode == "centralized":
-        try:
-            central = _centralized_outcome(scenario, bb)
-        except ValueError as err:
-            raise ScenarioError(
-                f"scenario {scenario.name!r}: {err}") from err
 
     outcomes = []
     for seed in seeds:

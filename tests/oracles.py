@@ -1,4 +1,11 @@
-"""Exhaustive schedule search for desk-scale instances.
+"""Test oracles: exhaustive schedule search, the covering-reduction and
+path fixtures, and two closed-form bounds that only tests compare against.
+
+None of this is on the pipeline's path (no CLI verb, script or benchmark
+calls it), so it lives with the tests that use it.
+
+Exhaustive schedule search for desk-scale instances
+----------------------------------------------------
 
 Both searches run breadth-first over global holding states in the same
 abstract full-duplex model the simulator uses without interference: a
@@ -26,8 +33,9 @@ import itertools
 import math
 from collections.abc import Sequence
 
-from .central import Batch, Rumor, Schedule, Transmission, rumors_in
-from .model import NetworkGraph
+from rumorcast.central import Batch, Rumor, Schedule, Transmission, rumors_in
+from rumorcast.fixtures import FixtureError
+from rumorcast.model import NetworkGraph, NodeSpec, Obstacle, build_network
 
 MAX_SEARCH_NODES = 12
 MAX_SEARCH_RUMORS = 6
@@ -186,3 +194,103 @@ def min_makespan_schedule(g: NetworkGraph, rumors: Sequence[Rumor],
     """
     return _search(g, rumors, compression, state_budget, "round",
                    _joint_sends)
+
+
+# --- fixtures ---------------------------------------------------------------
+
+def gen_set_cover_reduction(universe, subsets: Sequence,
+                            gossip_k: int = 1) -> tuple[NetworkGraph, list]:
+    """Three-tier covering network realized with powers and obstacles.
+
+    Sources sit far above with just enough power to reach every middle-tier
+    node and nothing below; middle-tier nodes share a large power that
+    reaches each other and the whole bottom tier; bottom-tier nodes are
+    mute. A short wall across each non-member (middle, bottom) segment
+    removes exactly the links outside the membership relation, so message
+    flow is sources -> middle tier -> covered elements.
+    """
+    universe = set(universe)
+    if not universe:
+        raise FixtureError("universe must be non-empty")
+    if gossip_k < 1:
+        raise FixtureError("gossip_k must be >= 1")
+    covered = set()
+    for s in subsets:
+        extra = set(s) - universe
+        if extra:
+            raise FixtureError(f"subset values outside universe: {sorted(map(str, extra))}")
+        covered |= set(s)
+    if covered != universe:
+        raise FixtureError(
+            f"subsets do not cover the universe; missing {sorted(map(str, universe - covered))}")
+    elems = sorted(universe, key=str)
+    if len(elems) > 99:
+        raise FixtureError("at most 99 distinct elements supported")
+    spacing = 100.0
+    m = len(subsets)
+    ground_span = spacing * (m - 1) + len(elems) + 2
+    half_span = spacing * (m - 1) / 2 + gossip_k + 1
+    height = (half_span + ground_span) ** 2 + 1
+
+    nodes = [NodeSpec(f"elem{i}", float(i), 0.0, 0.5 ** 2)
+             for i in range(len(elems))]
+    nodes += [NodeSpec(f"set{j}", spacing * j, 1.0, ground_span ** 2)
+              for j in range(m)]
+    reach = math.hypot(half_span, height - 1) + 0.001
+    sources = [f"src{t}" for t in range(gossip_k)]
+    nodes += [NodeSpec(name, spacing * (m - 1) / 2 + t, height, reach ** 2)
+              for t, name in enumerate(sources)]
+
+    index_of = {v: i for i, v in enumerate(elems)}
+    walls = []
+    for j, s in enumerate(subsets):
+        members = {index_of[v] for v in set(s)}
+        for i in range(len(elems)):
+            if i not in members:
+                center = (spacing * j + i) / 2
+                walls.append(Obstacle(center - 0.2, 0.5, center + 0.2, 0.5))
+    return build_network(nodes, walls, alpha=2.0), sources
+
+
+def gen_leaf_source_path() -> tuple[NetworkGraph, str]:
+    """Four-node path with the rumor starting at an end node.
+
+    The smallest backbone is the two middle nodes, and broadcasting from
+    the leaf costs one extra hand-off message.
+    """
+    g = NetworkGraph.from_adjacency(
+        {"a": ["b"], "b": ["a", "c"], "c": ["b", "d"], "d": ["c"]})
+    return g, "a"
+
+
+def gen_internal_source_path() -> tuple[NetworkGraph, str]:
+    """Same path, rumor starting on a backbone node: no hand-off needed."""
+    g, _ = gen_leaf_source_path()
+    return g, "b"
+
+
+# --- closed-form bounds ------------------------------------------------------
+
+def message_lower_bound_raw(rumor_count: int, compression: int,
+                            mcds_size: int) -> float:
+    """The fractional form of message_lower_bound, for ratio denominators."""
+    if compression < 1:
+        raise ValueError(f"compression must be >= 1, got {compression}")
+    return max(float(rumor_count),
+               rumor_count * (mcds_size - 1) / compression)
+
+
+def time_lower_bound_star_path(rumor_count: int, compression: int,
+                               diam: int) -> int:
+    """Exact optimum round count for the hub-and-tail family.
+
+    With all rumors at peripheral nodes of a hub that feeds a tail of
+    diameter ``diam``, the hub must relay ceil(k/c) batches and the last
+    batch still has to walk the tail: ceil(k/c) + diam - 1 rounds.
+    General graphs get diameter(g) as the universal floor instead.
+    """
+    if rumor_count < 1 or diam < 1:
+        raise ValueError("rumor count and diameter must be >= 1")
+    if compression < 1:
+        raise ValueError(f"compression must be >= 1, got {compression}")
+    return -(-rumor_count // compression) + diam - 1

@@ -30,8 +30,6 @@ from rumorcast.bounds import (
     expected_cd_stats,
     expected_nocd_stats,
     message_lower_bound,
-    message_lower_bound_raw,
-    time_lower_bound_star_path,
 )
 from rumorcast.central import (
     Rumor,
@@ -44,8 +42,6 @@ from rumorcast.central import (
 from rumorcast.cli import main as cli_main
 from rumorcast.distributed import SimConfig, init_states, run_round_cd, run_round_nocd, slot_count
 from rumorcast.fixtures import (
-    gen_internal_source_path,
-    gen_leaf_source_path,
     gen_random_udg,
     gen_ring_fixture,
     gen_star_path,
@@ -53,8 +49,14 @@ from rumorcast.fixtures import (
 )
 from rumorcast.model import NetworkGraph, diameter
 from rumorcast.scenario import Scenario, experiment_csv_rows, run_experiment, scenario_to_dict
-from rumorcast.search import min_makespan_schedule
 
+from oracles import (
+    gen_internal_source_path,
+    gen_leaf_source_path,
+    message_lower_bound_raw,
+    min_makespan_schedule,
+    time_lower_bound_star_path,
+)
 from reception_reference import delivery_times
 
 SWEEP_SIZE = 200

@@ -14,9 +14,9 @@ from rumorcast.bounds import (
     expected_cd_stats,
     expected_nocd_stats,
     message_lower_bound,
-    message_lower_bound_raw,
-    time_lower_bound_star_path,
 )
+
+from oracles import message_lower_bound_raw, time_lower_bound_star_path
 
 
 # --- message floor ---------------------------------------------------------

@@ -13,11 +13,8 @@ from rumorcast.backbone import (
 )
 from rumorcast.fixtures import (
     FixtureError,
-    gen_internal_source_path,
-    gen_leaf_source_path,
     gen_random_udg,
     gen_ring_fixture,
-    gen_set_cover_reduction,
     gen_star_path,
     pick_sources,
 )
@@ -26,6 +23,12 @@ from rumorcast.model import (
     diameter,
     is_strongly_connected,
     network_to_dict,
+)
+
+from oracles import (
+    gen_internal_source_path,
+    gen_leaf_source_path,
+    gen_set_cover_reduction,
 )
 
 

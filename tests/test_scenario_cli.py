@@ -654,3 +654,38 @@ def test_cli_gen_udg_scenario_digest(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "6e6dcccb0e0bcb821d70a2a37e220ffd248966e4453d4b6ace674f5747e7f13e")
+
+
+@pytest.mark.parametrize("radius", ["inf", "1e200", "nan"])
+def test_cli_gen_udg_unusable_radius_exits_2(tmp_path, capsys, radius):
+    # inf wrote "power": Infinity, which validate refused; 1e200 overflowed
+    # squaring into a power; nan ran every placement before failing
+    out = tmp_path / "udg.json"
+    capsys.readouterr()
+    assert main(["gen", "udg", "--n", "5", "--radius", radius,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_deeply_nested_scenario_exits_2(tmp_path, capsys):
+    spath = tmp_path / "deep.json"
+    spath.write_text("[" * 100_000)
+    capsys.readouterr()
+    for verb in ("validate", "run", "bounds"):
+        assert main([verb, "--scenario", str(spath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_deeply_nested_network_file_exits_2(tmp_path, capsys):
+    (tmp_path / "net.json").write_text("[" * 100_000)
+    spath = tmp_path / "sc.json"
+    spath.write_text(json.dumps({"name": "p", "network": "net.json",
+                                 "sources": [1], "c": 1}))
+    capsys.readouterr()
+    for verb in ("validate", "run", "bounds"):
+        assert main([verb, "--scenario", str(spath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

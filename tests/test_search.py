@@ -8,15 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rumorcast.backbone import brute_force_mcds
-from rumorcast.bounds import message_lower_bound, time_lower_bound_star_path
+from rumorcast.bounds import message_lower_bound
 from rumorcast.central import Rumor, simulate_schedule
-from rumorcast.fixtures import (gen_internal_source_path,
-                                gen_leaf_source_path,
-                                gen_set_cover_reduction, gen_star_path)
+from rumorcast.fixtures import gen_star_path
 from rumorcast.model import NetworkGraph, bfs_distances, is_strongly_connected
-from rumorcast.search import (SearchError, min_makespan_schedule,
-                              min_message_schedule)
 
+from oracles import (SearchError, gen_internal_source_path,
+                     gen_leaf_source_path, gen_set_cover_reduction,
+                     min_makespan_schedule, min_message_schedule,
+                     time_lower_bound_star_path)
 from reception_reference import delivery_times
 
 
