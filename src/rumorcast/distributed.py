@@ -37,6 +37,18 @@ only when they are read, which untraced runs never do.
 Reception in a slot follows ``model.jammed`` over the talkers' reach
 masks: a listener reached by two or more talkers is jammed, one reached by
 exactly one takes the data, and a transmitting node is deaf for that slot.
+A round pays only for the contention that happens, and each shortcut gives
+what the general rule gives:
+
+- a data slot with one talker skips the fold, since ``jammed`` of one
+  reach mask is 0 and the only deaf node is the talker, which is not its
+  own neighbor, so its batch reaches every neighbor;
+- a CD round with no echoers, because it jammed no listener or jammed
+  only senders, has no error slots and nobody who heard one, so every
+  sender succeeds at once;
+- a NoCD round with one sender acks from that sender's neighbors, which
+  are exactly the listeners that got data, and ``adjacency`` lists them
+  in ``node_ids`` order, the order they come off the node mask.
 """
 
 from __future__ import annotations
@@ -277,13 +289,15 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
                front: Mapping, slots: list) -> tuple[int, dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
-    A listener that exactly one talker reaches takes the batch.  A talker
-    whose reach meets no jammed or deaf node hands its batch to every
-    neighbor in one plain pass; only the others test each listener.
-    Appends each slot's ``("data", slot, talkers, deaf, jam)`` to
-    ``slots``.  Returns the node mask of the listeners that got data and
-    sent none, each listener's first collision slot, and the number of
-    collisions heard.
+    A listener that exactly one talker reaches takes the batch.  A slot
+    with one talker jams nobody and leaves only that talker deaf, so its
+    jam mask is 0 and the talker hands its batch to every neighbor in one
+    plain pass, without ``_slot``.  In a shared slot, a talker whose reach
+    meets no jammed or deaf node takes the same plain pass; only the
+    others test each listener.  Appends each slot's ``("data", slot,
+    talkers, deaf, jam)`` to ``slots``.  Returns the node mask of the
+    listeners that got data and sent none, each listener's first
+    collision slot, and the number of collisions heard.
     """
     index = g.node_index
     reach = g.reach
@@ -291,6 +305,16 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
     first_collision: dict = {}
     collisions_heard = 0
     for s, talking in _by_slot(slot_of).items():
+        if len(talking) == 1:
+            u = talking[0]
+            sent = front[u]
+            for v in g.adjacency[u]:
+                states[v].held |= sent
+            got |= reach[u]
+            deaf = 1 << index[u]
+            talked |= deaf
+            slots.append(("data", s, talking, deaf, 0))
+            continue
         deaf, jam = _slot(g, talking)
         blocked = jam | deaf
         for u in talking:
@@ -352,9 +376,15 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     slots: list = []
     _, first_collision, collisions_heard = _data_half(g, states, slot_of,
                                                       front, slots)
-
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
+    if not echoers:  # no error slot, so every sender succeeds
+        for u in senders:
+            states[u].pending.popleft()
+        return RoundLog(succeeded=frozenset(senders),
+                        data_messages=len(senders), control_messages=0,
+                        collisions_heard=collisions_heard, graph=g,
+                        round_index=round_index, slots=tuple(slots))
     noisy = 0  # the node mask of everyone who heard an error slot
     for s, yelling in _by_slot(echoers).items():
         deaf, jam = _slot(g, yelling)
@@ -402,8 +432,10 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
 
     # every listener that received data this round acks once; ackers are
     # never simultaneously data senders, so one slot each suffices.  They
-    # come off the mask in node_ids order, which is sorted order
-    ackers = rumors_in(g.node_ids, got)
+    # come off the mask in node_ids order, which is sorted order; a lone
+    # sender's ackers are its neighbors, whose list is sorted already
+    ackers = (g.adjacency[senders[0]] if len(senders) == 1
+              else rumors_in(g.node_ids, got))
     ack_slot = _draws(states, ackers, half, half + 1)
     sharing: dict = {}
     for v, s in ack_slot.items():

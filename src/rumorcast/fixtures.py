@@ -31,15 +31,16 @@ def gen_random_udg(n: int, radius: float, seed: int = 0,
     Equal power makes every link symmetric.  A square of side A with
     radius r is this square with radius r / A, and the path-loss
     exponent cancels out of a shared radius, so neither is a parameter.
-    The radius must be positive and its power, the radius squared, finite,
-    so that a scenario file can hold it.
+    The radius must be positive and its power, the radius squared,
+    positive and finite, so that a scenario file can hold it.
     """
     if n < 1:
         raise FixtureError(f"need at least one node, got {n}")
     # false for nan too; the product is inf where the power would overflow
-    if not (radius > 0 and radius * radius < math.inf):
-        raise FixtureError(f"radius must be positive with a finite square, "
-                           f"got {radius}")
+    # and 0 where it would underflow
+    if not (radius > 0 and 0 < radius * radius < math.inf):
+        raise FixtureError(f"radius must be positive and its square positive "
+                           f"and finite, got {radius}")
     rng = random.Random(seed)
     power = radius ** 2.0
     for _ in range(max(1, connect_retry)):

@@ -505,3 +505,35 @@ def test_streams_are_seeded_only_for_nodes_that_draw(monkeypatch, mode):
     drew = {r["transmitter"] for r in records if r["kind"] in ("data", "ack")}
     assert sorted(seeded) == sorted(drew)
     assert ("l3" in seeded) == (mode == "nocd")
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("mode", ["cd", "nocd"])
+def test_each_round_calls_the_module_round_routine_once(monkeypatch, mode,
+                                                        traced):
+    # a span recorder times rounds by rebinding run_round_cd and
+    # run_round_nocd on the module, so a run must look them up there and
+    # call its mode's routine once per round, shortcut or not
+    import rumorcast.distributed as distributed
+
+    logs = []
+    real = getattr(distributed, f"run_round_{mode}")
+
+    def counting(*args, **kwargs):
+        logs.append(real(*args, **kwargs))
+        return logs[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other mode's round routine ran")
+
+    other = "nocd" if mode == "cd" else "cd"
+    monkeypatch.setattr(distributed, f"run_round_{mode}", counting)
+    monkeypatch.setattr(distributed, f"run_round_{other}", refuse)
+    g, bb, sources = udg_instance()
+    cfg = SimConfig(slot_factor=0.3, mode=mode, seed=3)
+    trace = io.StringIO() if traced else None
+    metrics = run_distributed_multibroadcast(g, bb, sources, 2, cfg, trace)
+    assert len(logs) == metrics.rounds > 0
+    assert sum(log.data_messages for log in logs) == metrics.data_messages
+    senders = {log.data_messages for log in logs}
+    assert 1 in senders and max(senders) > 1

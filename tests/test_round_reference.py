@@ -14,20 +14,25 @@ listener's talkers differ from the nodes it reaches, and on one fixed
 NoCD round in which three senders address one acker and a rival acker
 jams only the middle sender's ack, and on fixed slots that send talkers
 down both paths of the data half: the plain pass of a talker that reaches
-no jammed or deaf node, and the per-listener test of the others.
+no jammed or deaf node, and the per-listener test of the others.  The
+``test_shortcut_`` tests pick talkers for the round shapes that skip
+work (lone talkers, CD rounds without echoers, single NoCD senders, lone
+and shared slots together), and count the jam folds a round makes.
 """
 
-from collections import deque
+import random
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from rumorcast import distributed
 from rumorcast.central import Batch, Rumor
 from rumorcast.distributed import (DistributedError, SimConfig, SlotRecord,
                                    _data_half, init_states, node_rng,
                                    run_round_cd, run_round_nocd, slot_count)
-from rumorcast.model import ModelError, NetworkGraph
+from rumorcast.model import ModelError, NetworkGraph, jammed
 
 from reception_reference import hearing
 
@@ -185,11 +190,15 @@ def ref_round_nocd(g, states, transmitters, cfg, *, round_index=1):
 # --- random instances ------------------------------------------------------
 
 @st.composite
-def instances(draw, directed=False):
+def instances(draw, directed=False, mode=None, named=False):
+    """A random graph on 2 to 8 nodes with a rumor pool, batches and a
+    config; ``mode`` fixes the mode, and ``named`` gives the nodes string
+    ids, whose set iteration order depends on the hash seed."""
     n = draw(st.integers(min_value=2, max_value=8))
-    adj = {u: set() for u in range(n)}
-    for u in range(n):
-        for v in range(u + 1, n):
+    ids = [f"n{u}" for u in range(n)] if named else list(range(n))
+    adj = {u: set() for u in ids}
+    for i, u in enumerate(ids):
+        for v in ids[i + 1:]:
             if directed:
                 if draw(st.booleans()):
                     adj[u].add(v)
@@ -199,12 +208,12 @@ def instances(draw, directed=False):
                 adj[u].add(v)
                 adj[v].add(u)
     g = NetworkGraph.from_adjacency({u: sorted(vs) for u, vs in adj.items()})
-    pool = [Rumor(u, seq) for u in range(n) for seq in range(2)]
+    pool = [Rumor(u, seq) for u in ids for seq in range(2)]
     batches = [Batch(tuple(sorted(draw(st.sets(st.sampled_from(pool),
                                                min_size=1, max_size=4)))))
                for _ in range(draw(st.integers(1, 4)))]
     cfg = SimConfig(slot_factor=draw(st.sampled_from([0.5, 1.0, 1.5, 3.0])),
-                    mode=draw(st.sampled_from(["cd", "nocd"])),
+                    mode=mode or draw(st.sampled_from(["cd", "nocd"])),
                     seed=draw(st.integers(0, 2 ** 30)))
     return g, pool, batches, cfg
 
@@ -255,19 +264,29 @@ def test_rounds_match_the_set_based_reference_on_one_way_links(instance,
     check_rounds(instance, data)
 
 
-def check_rounds(instance, data):
+def any_talkers(draw, g, ref, eligible, half):
+    return draw(st.sets(st.sampled_from(eligible), min_size=1))
+
+
+def check_rounds(instance, data, pick=any_talkers):
+    """Run both sides for up to six rounds on the talkers ``pick`` draws
+    from the eligible nodes (None skips the round); returns the logs of
+    the rounds run."""
     g, pool, batches, cfg = instance
     ref = ref_states(g, cfg)
     new = init_states(g, cfg)
     run_ref = ref_round_cd if cfg.mode == "cd" else ref_round_nocd
     run_new = run_round_cd if cfg.mode == "cd" else run_round_nocd
+    logs = []
     for t in range(1, data.draw(st.integers(1, 6)) + 1):
         load(data.draw, g, pool, batches, cfg, ref, new)
         eligible = [u for u in g.node_ids if ref[u].pending
                     and (cfg.mode == "cd" or ref[u].awaiting_ack)]
         if not eligible:
             continue
-        talkers = data.draw(st.sets(st.sampled_from(eligible), min_size=1))
+        talkers = pick(data.draw, g, ref, eligible, slot_count(g, cfg))
+        if talkers is None:
+            continue
         want = run_ref(g, ref, talkers, cfg, round_index=t)
         got = run_new(g, new, talkers, cfg, round_index=t)
         assert ([r.to_json() for r in got.records]
@@ -277,8 +296,10 @@ def check_rounds(instance, data):
         assert got.control_messages == want.control_messages
         assert got.collisions_heard == want.collisions_heard
         same_nodes(g, pool, ref, new)
+        logs.append(got)
     for u in g.node_ids:
         assert new[u].rng_stream.random() == ref[u].rng_stream.random(), u
+    return logs
 
 
 def test_ack_verdicts_keep_sender_order():
@@ -374,3 +395,143 @@ def test_rounds_with_both_data_paths_match_the_reference(mode):
     assert got.succeeded == want.succeeded
     assert got.collisions_heard == want.collisions_heard
     same_nodes(g, pool, ref, new)
+
+
+# --- the shortcuts against the reference -----------------------------------
+#
+# A round skips work that cannot change its outcome: a slot with one
+# talker skips the jam fold, a CD round without echoers skips the error
+# half, and a NoCD round with one sender takes its ackers from the
+# sender's neighbor list.  Each test below picks talkers so that the round
+# has the shape one shortcut serves, and checks it against the reference.
+# The nodes have string ids, whose set order follows the hash seed, so
+# the tests are worth running under more than one.
+
+def next_slot(state, half):
+    """The data slot ``state``'s stream draws next; the stream is left as
+    it is."""
+    rng = random.Random()
+    rng.setstate(state.rng_stream.getstate())
+    return rng.randint(1, half)
+
+
+def anyone_jammed(g, slot_of):
+    """Whether a listener hears two talkers of one slot, by the reference
+    rule."""
+    return any(len(heard) > 1
+               for talking in ref_by_slot(slot_of).values()
+               for heard in ref_audible(g, talking).values())
+
+
+def distinct_slots(draw, g, ref, eligible, half):
+    # the drawn nodes, keeping the first of each slot
+    talkers = {}
+    for u in draw(st.lists(st.sampled_from(eligible), min_size=1)):
+        talkers.setdefault(next_slot(ref[u], half), u)
+    return set(talkers.values())
+
+
+def nobody_jammed(draw, g, ref, eligible, half):
+    # the drawn nodes, each kept unless it jams a listener
+    slot_of = {}
+    for u in draw(st.lists(st.sampled_from(eligible), min_size=1)):
+        trial = {**slot_of, u: next_slot(ref[u], half)}
+        if not anyone_jammed(g, trial):
+            slot_of = trial
+    return set(slot_of) or None
+
+
+def one_sender(draw, g, ref, eligible, half):
+    return {draw(st.sampled_from(eligible))}
+
+
+def lone_and_shared_slots(draw, g, ref, eligible, half):
+    # two or more nodes of one slot, and one node each of other slots
+    by_slot = {}
+    for u in eligible:
+        by_slot.setdefault(next_slot(ref[u], half), []).append(u)
+    shared = [s for s in sorted(by_slot) if len(by_slot[s]) > 1]
+    others = [s for s in sorted(by_slot) if s not in shared[:1]]
+    if not shared or not others:
+        return None
+    talkers = set(draw(st.sets(st.sampled_from(by_slot[shared[0]]),
+                               min_size=2)))
+    for s in draw(st.sets(st.sampled_from(others), min_size=1)):
+        talkers.add(draw(st.sampled_from(by_slot[s])))
+    return talkers
+
+
+def data_slots(log):
+    return [(talking, jam) for kind, _, talking, _, jam in log.slots
+            if kind == "data"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(named=True), st.data())
+def test_shortcut_rounds_of_lone_talkers_match_the_reference(instance, data):
+    for log in check_rounds(instance, data, distinct_slots):
+        assert all(len(talking) == 1 and jam == 0
+                   for talking, jam in data_slots(log))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(mode="cd", named=True), st.data())
+def test_shortcut_quiet_cd_rounds_match_the_reference(instance, data):
+    for log in check_rounds(instance, data, nobody_jammed):
+        assert log.succeeded == frozenset(
+            u for talking, _ in data_slots(log) for u in talking)
+        assert log.control_messages == log.collisions_heard == 0
+        assert all(kind == "data" for kind, *_ in log.slots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(mode="nocd", named=True), st.data())
+def test_shortcut_single_sender_nocd_rounds_match_the_reference(instance,
+                                                                data):
+    g = instance[0]
+    for log in check_rounds(instance, data, one_sender):
+        [([u], jam)] = data_slots(log)
+        assert jam == 0
+        assert list(log.acks) == list(g.adjacency[u])
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(named=True), st.data())
+def test_shortcut_rounds_of_lone_and_shared_slots_match_the_reference(
+        instance, data):
+    logs = check_rounds(instance, data, lone_and_shared_slots)
+    assume(logs)
+    for log in logs:
+        sizes = [len(talking) for talking, _ in data_slots(log)]
+        assert 1 in sizes and max(sizes) > 1
+
+
+@pytest.mark.parametrize("mode", ["cd", "nocd"])
+def test_shortcut_lone_data_slots_never_call_jammed(monkeypatch, mode):
+    # the BOTH_PATHS senders with two slots per half-round, on the first
+    # seed whose draws give one slot to a lone sender and the other to
+    # several: every slot but the lone one folds its talkers' reach masks
+    g = NetworkGraph.from_adjacency(BOTH_PATHS)
+    senders = sorted(BOTH_PATHS_ACKS)
+    seed = next(seed for seed in range(100)
+                if sorted(Counter(node_rng(seed, u).randint(1, 2)
+                                  for u in senders).values()) == [1, 4])
+    cfg = SimConfig(slot_factor=0.5, mode=mode, seed=seed)
+    assert slot_count(g, cfg) == 2
+    states = init_states(g, cfg)
+    for i, u in enumerate(senders):
+        states[u].pending = deque([1 << i])
+        states[u].awaiting_ack = set(BOTH_PATHS_ACKS[u])
+    folded = []
+
+    def counting(g, talkers):
+        folded.append(list(talkers))
+        return jammed(g, talkers)
+
+    monkeypatch.setattr(distributed, "jammed", counting)
+    run_round = run_round_cd if mode == "cd" else run_round_nocd
+    log = run_round(g, states, senders, cfg)
+    assert sorted(len(talking) for talking, _ in data_slots(log)) == [1, 4]
+    assert folded == [talking for kind, _, talking, _, _ in log.slots
+                      if kind == "error" or len(talking) > 1]
+    assert any(len(talking) == 4 for talking in folded)

@@ -669,6 +669,20 @@ def test_cli_gen_udg_unusable_radius_exits_2(tmp_path, capsys, radius):
     assert not out.exists()
 
 
+def test_cli_gen_udg_radius_with_zero_square_names_the_radius(tmp_path,
+                                                             capsys):
+    # 1e-200 squared underflows to a zero power, which build_network used
+    # to refuse as "node 0 has non-positive power 0.0"
+    out = tmp_path / "udg.json"
+    capsys.readouterr()
+    assert main(["gen", "udg", "--n", "5", "--radius", "1e-200",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius ") and err.count("\n") == 1
+    assert "1e-200" in err and "power" not in err
+    assert not out.exists()
+
+
 def test_cli_deeply_nested_scenario_exits_2(tmp_path, capsys):
     spath = tmp_path / "deep.json"
     spath.write_text("[" * 100_000)
