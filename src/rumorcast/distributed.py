@@ -40,12 +40,12 @@ exactly one takes the data, and a transmitting node is deaf for that slot.
 A round pays only for the contention that happens, and each shortcut gives
 what the general rule gives:
 
-- a data slot with one talker skips the fold, since ``jammed`` of one
-  reach mask is 0 and the only deaf node is the talker, which is not its
-  own neighbor, so its batch reaches every neighbor;
-- a CD round with no echoers, because it jammed no listener or jammed
-  only senders, has no error slots and nobody who heard one, so every
-  sender succeeds at once;
+- a slot with one talker, data or error, skips the fold, since
+  ``jammed`` of one reach mask is 0; its only deaf node is the talker,
+  which is not its own neighbor, so a lone data talker takes the plain
+  pass to every neighbor;
+- a CD round with no echoers needs no shortcut: it has no error slot, so
+  nobody hears one and every sender succeeds;
 - a NoCD round with one sender acks from that sender's neighbors, which
   are exactly the listeners that got data, and ``adjacency`` lists them
   in ``node_ids`` order, the order they come off the node mask.
@@ -247,9 +247,12 @@ def _slot(g: NetworkGraph, talking: list) -> tuple[int, int]:
     """The talkers' node mask and the listeners two or more of them reach.
 
     Talkers are deaf, so they are never jammed: a reached node outside
-    both masks hears exactly one talker.
+    both masks hears exactly one talker.  One talker jams nobody, so a
+    lone talker skips the fold.
     """
     index = g.node_index
+    if len(talking) == 1:
+        return 1 << index[talking[0]], 0
     deaf = 0
     for u in talking:
         deaf |= 1 << index[u]
@@ -289,15 +292,13 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
                front: Mapping, slots: list) -> tuple[int, dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
-    A listener that exactly one talker reaches takes the batch.  A slot
-    with one talker jams nobody and leaves only that talker deaf, so its
-    jam mask is 0 and the talker hands its batch to every neighbor in one
-    plain pass, without ``_slot``.  In a shared slot, a talker whose reach
-    meets no jammed or deaf node takes the same plain pass; only the
-    others test each listener.  Appends each slot's ``("data", slot,
-    talkers, deaf, jam)`` to ``slots``.  Returns the node mask of the
-    listeners that got data and sent none, each listener's first
-    collision slot, and the number of collisions heard.
+    A listener that exactly one talker reaches takes the batch.  A talker
+    whose reach meets no jammed or deaf node hands its batch to every
+    neighbor in one plain pass; only the others test each listener.
+    Appends each slot's ``("data", slot, talkers, deaf, jam)`` to
+    ``slots``.  Returns the node mask of the listeners that got data and
+    sent none, each listener's first collision slot, and the number of
+    collisions heard.
     """
     index = g.node_index
     reach = g.reach
@@ -305,16 +306,6 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
     first_collision: dict = {}
     collisions_heard = 0
     for s, talking in _by_slot(slot_of).items():
-        if len(talking) == 1:
-            u = talking[0]
-            sent = front[u]
-            for v in g.adjacency[u]:
-                states[v].held |= sent
-            got |= reach[u]
-            deaf = 1 << index[u]
-            talked |= deaf
-            slots.append(("data", s, talking, deaf, 0))
-            continue
         deaf, jam = _slot(g, talking)
         blocked = jam | deaf
         for u in talking:
@@ -376,15 +367,9 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     slots: list = []
     _, first_collision, collisions_heard = _data_half(g, states, slot_of,
                                                       front, slots)
+
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
-    if not echoers:  # no error slot, so every sender succeeds
-        for u in senders:
-            states[u].pending.popleft()
-        return RoundLog(succeeded=frozenset(senders),
-                        data_messages=len(senders), control_messages=0,
-                        collisions_heard=collisions_heard, graph=g,
-                        round_index=round_index, slots=tuple(slots))
     noisy = 0  # the node mask of everyone who heard an error slot
     for s, yelling in _by_slot(echoers).items():
         deaf, jam = _slot(g, yelling)

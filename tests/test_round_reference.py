@@ -15,9 +15,10 @@ NoCD round in which three senders address one acker and a rival acker
 jams only the middle sender's ack, and on fixed slots that send talkers
 down both paths of the data half: the plain pass of a talker that reaches
 no jammed or deaf node, and the per-listener test of the others.  The
-``test_shortcut_`` tests pick talkers for the round shapes that skip
-work (lone talkers, CD rounds without echoers, single NoCD senders, lone
-and shared slots together), and count the jam folds a round makes.
+``test_shortcut_`` tests pick talkers for the round shapes that need
+little work (lone talkers, CD rounds without echoers, single NoCD
+senders, lone and shared slots together), and count the jam folds a
+round makes.
 """
 
 import random
@@ -400,10 +401,10 @@ def test_rounds_with_both_data_paths_match_the_reference(mode):
 # --- the shortcuts against the reference -----------------------------------
 #
 # A round skips work that cannot change its outcome: a slot with one
-# talker skips the jam fold, a CD round without echoers skips the error
-# half, and a NoCD round with one sender takes its ackers from the
+# talker skips the jam fold, a CD round without echoers has no error
+# slot, and a NoCD round with one sender takes its ackers from the
 # sender's neighbor list.  Each test below picks talkers so that the round
-# has the shape one shortcut serves, and checks it against the reference.
+# has one of these shapes, and checks it against the reference.
 # The nodes have string ids, whose set order follows the hash seed, so
 # the tests are worth running under more than one.
 
@@ -510,7 +511,8 @@ def test_shortcut_rounds_of_lone_and_shared_slots_match_the_reference(
 def test_shortcut_lone_data_slots_never_call_jammed(monkeypatch, mode):
     # the BOTH_PATHS senders with two slots per half-round, on the first
     # seed whose draws give one slot to a lone sender and the other to
-    # several: every slot but the lone one folds its talkers' reach masks
+    # several: every slot with two or more talkers, data or error, folds
+    # their reach masks, and no other slot does
     g = NetworkGraph.from_adjacency(BOTH_PATHS)
     senders = sorted(BOTH_PATHS_ACKS)
     seed = next(seed for seed in range(100)
@@ -532,6 +534,6 @@ def test_shortcut_lone_data_slots_never_call_jammed(monkeypatch, mode):
     run_round = run_round_cd if mode == "cd" else run_round_nocd
     log = run_round(g, states, senders, cfg)
     assert sorted(len(talking) for talking, _ in data_slots(log)) == [1, 4]
-    assert folded == [talking for kind, _, talking, _, _ in log.slots
-                      if kind == "error" or len(talking) > 1]
+    assert folded == [talking for _, _, talking, _, _ in log.slots
+                      if len(talking) > 1]
     assert any(len(talking) == 4 for talking in folded)
