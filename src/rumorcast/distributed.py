@@ -20,9 +20,10 @@ Every node owns an independent deterministic random stream derived from
 (seed, node id), so runs replay bit-for-bit; a stream is seeded on the
 node's first draw, so nodes that only listen or echo never seed one.  A
 slot is drawn as ``randint(1, half)`` would draw it from that stream,
-through ``getrandbits`` directly (see ``_draws``).  A node transmits in at
-most one slot per round: data senders never echo, and ackers never send
-data.
+through ``getrandbits`` directly (see ``_draws``); once seeded, a node's
+state holds the stream's ``getrandbits``, and the draw loop calls it
+without going through ``rng_stream``.  A node transmits in at most one
+slot per round: data senders never echo, and ackers never send data.
 
 The slot layer knows rumors only as int masks: a node holds a rumor
 mask and queues the masks of the batches it must send, so a clean
@@ -37,8 +38,10 @@ only when they are read, which untraced runs never do.
 Reception in a slot follows ``model.jammed`` over the talkers' reach
 masks: a listener reached by two or more talkers is jammed, one reached by
 exactly one takes the data, and a transmitting node is deaf for that slot.
-A round pays only for the contention that happens, and each shortcut gives
-what the general rule gives:
+A round pays only for the contention that happens, and a NoCD round costs
+the talkers' neighborhoods, not n: a bit test or walk on an n-bit mask
+costs O(n), so NoCD finds its ackers and their rivals in neighbor lists
+and id lists.  Each shortcut gives what the general rule gives:
 
 - a slot with one talker, data or error, skips the fold, since
   ``jammed`` of one reach mask is 0; its only deaf node is the talker,
@@ -46,9 +49,12 @@ what the general rule gives:
   pass to every neighbor;
 - a CD round with no echoers needs no shortcut: it has no error slot, so
   nobody hears one and every sender succeeds;
-- a NoCD round with one sender acks from that sender's neighbors, which
-  are exactly the listeners that got data, and ``adjacency`` lists them
-  in ``node_ids`` order, the order they come off the node mask.
+- the data half lists the ids of the listeners that took a batch where
+  it delivers, and NoCD sorts those that sent none by ``node_index`` into
+  its ackers; with one sender they are that sender's neighbors, which
+  ``adjacency`` already lists in ``node_ids`` order;
+- an addressed acker scans for rivals only when another acker drew its
+  slot, since a rival must ack in the same slot.
 """
 
 from __future__ import annotations
@@ -127,10 +133,14 @@ class NodeState:
     ``held`` is the mask of the rumors the node holds, ``pending`` queues
     the masks of the batches still to send, and ``awaiting_ack`` the
     listeners that must still confirm the front one.  ``rng_stream`` is
-    ``node_rng(seed, node)``, built on the node's first draw.
+    ``node_rng(seed, node)``, built on the node's first draw, and
+    ``_getrandbits`` is that stream's own bound ``getrandbits``, None until
+    then.  It is the stream's method, not one of the state's, so a state
+    holds no reference cycle and is freed without the cyclic collector.
     """
 
-    __slots__ = ("held", "pending", "awaiting_ack", "_seed", "_node", "_rng")
+    __slots__ = ("held", "pending", "awaiting_ack", "_seed", "_node", "_rng",
+                 "_getrandbits")
 
     def __init__(self, seed: int, node: int | str):
         self.held = 0
@@ -139,11 +149,13 @@ class NodeState:
         self._seed = seed
         self._node = node
         self._rng: random.Random | None = None
+        self._getrandbits = None
 
     @property
     def rng_stream(self) -> random.Random:
         if self._rng is None:
             self._rng = node_rng(self._seed, self._node)
+            self._getrandbits = self._rng.getrandbits
         return self._rng
 
 
@@ -275,12 +287,15 @@ def _draws(states: Mapping, nodes: Iterable, half: int,
     This is the method ``random.Random.randint`` itself uses, without its
     argument handling: ``getrandbits(k)`` for k the bit length of ``half``
     until the draw is below ``half``.  Every stream advances exactly as
-    ``randint`` would advance it.
+    ``randint`` would advance it.  A seeded stream's ``getrandbits`` is
+    called straight off its state; only a node's first draw goes through
+    ``rng_stream``, which seeds the stream.
     """
     k = half.bit_length()
     drawn = {}
     for u in nodes:
-        bits = states[u].rng_stream.getrandbits
+        state = states[u]
+        bits = state._getrandbits or state.rng_stream.getrandbits
         r = bits(k)
         while r >= half:
             r = bits(k)
@@ -289,20 +304,21 @@ def _draws(states: Mapping, nodes: Iterable, half: int,
 
 
 def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
-               front: Mapping, slots: list) -> tuple[int, dict, int]:
+               front: Mapping, slots: list) -> tuple[list, dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
     A listener that exactly one talker reaches takes the batch.  A talker
     whose reach meets no jammed or deaf node hands its batch to every
     neighbor in one plain pass; only the others test each listener.
     Appends each slot's ``("data", slot, talkers, deaf, jam)`` to
-    ``slots``.  Returns the node mask of the listeners that got data and
-    sent none, each listener's first collision slot, and the number of
-    collisions heard.
+    ``slots``.  Returns the ids of the listeners that took a batch, as
+    the batches are delivered (a listener that took two comes twice, and
+    a sender that took one in another slot comes too), each listener's
+    first collision slot, and the number of collisions heard.
     """
     index = g.node_index
     reach = g.reach
-    got = talked = 0
+    got: list = []
     first_collision: dict = {}
     collisions_heard = 0
     for s, talking in _by_slot(slot_of).items():
@@ -310,9 +326,8 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
         blocked = jam | deaf
         for u in talking:
             sent = front[u]
-            heard = reach[u] & ~blocked
-            got |= heard
-            if heard == reach[u]:
+            if not reach[u] & blocked:
+                got += g.adjacency[u]
                 for v in g.adjacency[u]:
                     states[v].held |= sent
                 continue
@@ -322,10 +337,10 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
                     first_collision.setdefault(v, s)
                 elif not bit & deaf:
                     states[v].held |= sent
-        talked |= deaf
+                    got.append(v)
         collisions_heard += jam.bit_count()
         slots.append(("data", s, talking, deaf, jam))
-    return got & ~talked, first_collision, collisions_heard
+    return got, first_collision, collisions_heard
 
 
 def _open_round(g: NetworkGraph, states: Mapping, transmitters: Iterable,
@@ -417,24 +432,28 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
 
     # every listener that received data this round acks once; ackers are
     # never simultaneously data senders, so one slot each suffices.  They
-    # come off the mask in node_ids order, which is sorted order; a lone
-    # sender's ackers are its neighbors, whose list is sorted already
+    # draw in node_ids order; a lone sender's ackers are its neighbors,
+    # whose list is in that order already
     ackers = (g.adjacency[senders[0]] if len(senders) == 1
-              else rumors_in(g.node_ids, got))
+              else sorted(set(got).difference(slot_of),
+                          key=g.node_index.__getitem__))
     ack_slot = _draws(states, ackers, half, half + 1)
     sharing: dict = {}
     for v, s in ack_slot.items():
         sharing.setdefault(s, []).append(v)
     # sender by sender, so each acker's verdict lists come out sorted; the
-    # walk copies the list because an acked listener leaves it at once
+    # walk copies the list because an acked listener leaves it at once.
+    # Only an acker that shares its slot can have a rival
     verdicts: dict = {}  # addressed acker -> (senders reached, jammed)
+    adjacency = g.adjacency
     for u in senders:
         waiting = states[u].awaiting_ack
         for v in [v for v in waiting if v in ack_slot]:
-            rivals = [z for z in sharing[ack_slot[v]]
-                      if z != v
-                      and (z in g.adjacency[v] or u in g.adjacency[z])]
-            if rivals:
+            sharers = sharing[ack_slot[v]]
+            near = adjacency[v]
+            if len(sharers) > 1 and any(
+                    z != v and (z in near or u in adjacency[z])
+                    for z in sharers):
                 verdicts.setdefault(v, ([], []))[1].append(u)
                 collisions_heard += 1
             elif not front[u] & ~states[v].held:

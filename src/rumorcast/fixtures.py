@@ -27,7 +27,8 @@ def gen_random_udg(n: int, radius: float, seed: int = 0,
                    connect_retry: int = 50) -> NetworkGraph:
     """Uniform points in the unit square with one shared radio radius.
 
-    Resamples up to connect_retry times until the graph is connected.
+    Resamples up to connect_retry times, which must be at least 1, until
+    the graph is connected.
     Equal power makes every link symmetric.  A square of side A with
     radius r is this square with radius r / A, and the path-loss
     exponent cancels out of a shared radius, so neither is a parameter.
@@ -41,9 +42,11 @@ def gen_random_udg(n: int, radius: float, seed: int = 0,
     if not (radius > 0 and 0 < radius * radius < math.inf):
         raise FixtureError(f"radius must be positive and its square positive "
                            f"and finite, got {radius}")
+    if connect_retry < 1:
+        raise FixtureError(f"connect_retry must be >= 1, got {connect_retry}")
     rng = random.Random(seed)
     power = radius ** 2.0
-    for _ in range(max(1, connect_retry)):
+    for _ in range(connect_retry):
         nodes = [NodeSpec(i, rng.uniform(0, 1.0), rng.uniform(0, 1.0), power)
                  for i in range(n)]
         g = build_network(nodes)

@@ -80,6 +80,14 @@ def test_random_udg_gives_up_with_advice():
         gen_random_udg(0, radius=0.3)
 
 
+@pytest.mark.parametrize("retry", [0, -5])
+def test_random_udg_refuses_fewer_than_one_try(retry):
+    # a radius that connects 5 nodes on the first try, so a placement
+    # made anyway would succeed and hide the bad count
+    with pytest.raises(FixtureError, match=f"connect_retry .*{retry}"):
+        gen_random_udg(5, radius=math.sqrt(2) + 0.01, connect_retry=retry)
+
+
 @pytest.mark.parametrize("ring_size", [6, 9, 17])
 def test_ring_diameter_is_always_four(ring_size):
     g = gen_ring_fixture(ring_size)

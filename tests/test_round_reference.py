@@ -17,10 +17,16 @@ down both paths of the data half: the plain pass of a talker that reaches
 no jammed or deaf node, and the per-listener test of the others.  The
 ``test_shortcut_`` tests pick talkers for the round shapes that need
 little work (lone talkers, CD rounds without echoers, single NoCD
-senders, lone and shared slots together), and count the jam folds a
-round makes.
+senders, lone and shared slots together, NoCD senders with shared
+listeners whose ackers share a slot), count the jam folds a round makes,
+and check that a NoCD run never walks the n-bit node mask for its
+ackers.  The last tests pin the draws that come straight off each node's
+stream, and that a node state holds no bound method of its own.
 """
 
+import gc
+import io
+import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -29,10 +35,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rumorcast import distributed
+from rumorcast.backbone import greedy_cds
 from rumorcast.central import Batch, Rumor
-from rumorcast.distributed import (DistributedError, SimConfig, SlotRecord,
-                                   _data_half, init_states, node_rng,
-                                   run_round_cd, run_round_nocd, slot_count)
+from rumorcast.distributed import (DistributedError, NodeState, SimConfig,
+                                   SlotRecord, _data_half, _draws,
+                                   init_states, node_rng, run_round_cd,
+                                   run_round_nocd, slot_count)
+from rumorcast.fixtures import gen_ring_fixture
 from rumorcast.model import ModelError, NetworkGraph, jammed
 
 from reception_reference import hearing
@@ -369,8 +378,8 @@ def test_data_half_takes_both_paths_as_the_reference_does():
     got, first, heard = _data_half(
         g, new, slot_of, {u: new[u].pending[0] for u in slot_of}, [])
     assert first == want_first == {"J": 1, "P": 2}
-    # the listeners that got data and sent none, as one node mask
-    assert got == sum(1 << g.node_index[v] for v in want_got - set(slot_of))
+    # the listeners that got data and sent none, as ids
+    assert set(got).difference(slot_of) == want_got - set(slot_of)
     assert want_got == {"K", "L", "M", "N"}
     assert heard == want_heard
     same_nodes(g, pool, ref, new)
@@ -537,3 +546,83 @@ def test_shortcut_lone_data_slots_never_call_jammed(monkeypatch, mode):
     assert folded == [talking for _, _, talking, _, _ in log.slots
                       if len(talking) > 1]
     assert any(len(talking) == 4 for talking in folded)
+
+
+def senders_sharing_listeners(draw, g, ref, eligible, half):
+    # two or more senders with a listener in common, two of whose
+    # listeners would draw one ack slot; a listener that sends nothing
+    # draws its ack slot next, so its stream tells the slot in advance
+    if len(eligible) < 2:
+        return None
+    talkers = draw(st.sets(st.sampled_from(eligible), min_size=2))
+    heard = Counter(v for u in talkers for v in g.adjacency[u]
+                    if v not in talkers)
+    if max(heard.values(), default=0) < 2:
+        return None
+    if max(Counter(next_slot(ref[v], half) for v in heard).values()) < 2:
+        return None
+    return talkers
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(mode="nocd", named=True), st.data())
+def test_shortcut_multi_sender_nocd_rounds_match_the_reference(instance,
+                                                               data):
+    # the ackers come from the senders' neighbor lists, and only ackers
+    # that share a slot scan for rivals
+    logs = check_rounds(instance, data, senders_sharing_listeners)
+    assume(any(len(set(log.acks.values())) < len(log.acks) for log in logs))
+    for log in logs:
+        assert sum(len(talking) for talking, _ in data_slots(log)) > 1
+
+
+def test_shortcut_nocd_runs_never_walk_the_node_mask(monkeypatch):
+    # the ring's eight tips are sources that hand off to the backbone
+    # together, so the run has rounds with several senders
+    g = gen_ring_fixture(8)
+    tips = [f"t{i}" for i in range(8)]
+    walked = []
+
+    def counting(rumors, mask):
+        walked.append(rumors is g.node_ids)
+        return rumors_in(rumors, mask)
+
+    rumors_in = distributed.rumors_in
+    monkeypatch.setattr(distributed, "rumors_in", counting)
+    buf = io.StringIO()
+    cfg = SimConfig(slot_factor=1.0, mode="nocd", seed=4)
+    metrics = distributed.run_distributed_multibroadcast(
+        g, greedy_cds(g), tips, 2, cfg, trace=buf)
+    assert metrics.delivered_everything
+    talkers = Counter(r["round"] for r in map(json.loads,
+                                              buf.getvalue().splitlines())
+                      if r["kind"] == "data")
+    assert max(talkers.values()) > 1
+    assert walked and not any(walked)
+
+
+@pytest.mark.parametrize("seeded_first", [False, True])
+def test_draws_come_straight_off_each_node_stream(seeded_first):
+    # with the stream seeded by the first draw, or by an earlier read of
+    # rng_stream that drew nothing
+    nodes = ["a", "hub", 3, 41]
+    states = {u: NodeState(9, u) for u in nodes}
+    if seeded_first:
+        for u in nodes:
+            assert states[u].rng_stream is states[u].rng_stream
+    refs = {u: node_rng(9, u) for u in nodes}
+    for half in (1, 2, 3, 8, 13, 100):
+        assert _draws(states, nodes, half) == {
+            u: refs[u].randint(1, half) for u in nodes}
+    for u in nodes:
+        assert states[u].rng_stream.random() == refs[u].random()
+
+
+def test_node_states_hold_no_bound_method_of_their_own():
+    # a state that held one of its own bound methods would be a reference
+    # cycle, left to the cyclic collector
+    state = NodeState(0, "a")
+    _draws({"a": state}, ["a"], 5)
+    held = gc.get_referents(state)
+    assert state.rng_stream in held
+    assert not any(getattr(r, "__self__", None) is state for r in held)

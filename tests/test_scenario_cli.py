@@ -683,6 +683,19 @@ def test_cli_gen_udg_radius_with_zero_square_names_the_radius(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("retry", ["0", "-5"])
+def test_cli_gen_udg_without_tries_exits_2(tmp_path, capsys, retry):
+    # each used to try one placement anyway and then report "no connected
+    # placement of 50 nodes in 0 tries"
+    out = tmp_path / "udg.json"
+    capsys.readouterr()
+    assert main(["gen", "udg", "--n", "50", "--radius", "0.01", "--retry",
+                 retry, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: connect_retry must be >= 1, got {retry}\n"
+    assert not out.exists()
+
+
 def test_cli_deeply_nested_scenario_exits_2(tmp_path, capsys):
     spath = tmp_path / "deep.json"
     spath.write_text("[" * 100_000)
