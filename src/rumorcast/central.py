@@ -258,8 +258,9 @@ def plan_multibroadcast(g: NetworkGraph, bb: Backbone,
     distribution = (tuple(m for m in band if m in senders) for band in bands)
     load = {u: tuple(sorted(rs)) for u, rs in load.items()}
     root_load = load[bb.root]
+    # a unit's own rumors share its id and were appended by seq: sorted
     return Plan(compression=compression, rumors=rumors, parent=parent,
-                own={u: tuple(sorted(rs)) for u, rs in own.items()},
+                own={u: tuple(rs) for u, rs in own.items()},
                 load=load, collection=collection,
                 distribution=tuple(filter(None, distribution)),
                 chunks=tuple(Batch(root_load[i:i + compression])

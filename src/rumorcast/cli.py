@@ -28,8 +28,8 @@ from .distributed import SimConfig
 from .fixtures import (gen_random_udg, gen_ring_fixture, gen_star_path,
                        pick_sources)
 from .scenario import (BACKBONE_KINDS, MODES, Scenario, ScenarioError,
-                       experiment_csv_rows, load_scenario, run_experiment,
-                       scenario_to_dict)
+                       build_backbone, experiment_csv_rows, load_scenario,
+                       run_experiment, scenario_to_dict)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -67,6 +67,8 @@ def _cmd_gen(args) -> int:
                   compression=args.c, mode=args.mode,
                   cfg=SimConfig(slot_factor=args.mu),
                   backbone_kind=args.backbone)
+    # a backbone that ``run`` could not build fails before any file is written
+    build_backbone(g, sc.backbone_kind)
     _emit(_json_text(scenario_to_dict(sc)), args.out)
     return 0
 

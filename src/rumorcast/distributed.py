@@ -38,23 +38,9 @@ only when they are read, which untraced runs never do.
 Reception in a slot follows ``model.jammed`` over the talkers' reach
 masks: a listener reached by two or more talkers is jammed, one reached by
 exactly one takes the data, and a transmitting node is deaf for that slot.
-A round pays only for the contention that happens, and a NoCD round costs
-the talkers' neighborhoods, not n: a bit test or walk on an n-bit mask
-costs O(n), so NoCD finds its ackers and their rivals in neighbor lists
-and id lists.  Each shortcut gives what the general rule gives:
-
-- a slot with one talker, data or error, skips the fold, since
-  ``jammed`` of one reach mask is 0; its only deaf node is the talker,
-  which is not its own neighbor, so a lone data talker takes the plain
-  pass to every neighbor;
-- a CD round with no echoers needs no shortcut: it has no error slot, so
-  nobody hears one and every sender succeeds;
-- the data half lists the ids of the listeners that took a batch where
-  it delivers, and NoCD sorts those that sent none by ``node_index`` into
-  its ackers; with one sender they are that sender's neighbors, which
-  ``adjacency`` already lists in ``node_ids`` order;
-- an addressed acker scans for rivals only when another acker drew its
-  slot, since a rival must ack in the same slot.
+A round pays only for the contention that happens: ``_slot``,
+``_data_half`` and ``run_round_nocd`` each state, beside their code, the
+shortcuts they take and why each gives what the general rule gives.
 """
 
 from __future__ import annotations
@@ -65,7 +51,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .backbone import Backbone, validate_backbone
 from .central import Plan, plan_multibroadcast, rumors_in
@@ -164,8 +150,7 @@ def init_states(g: NetworkGraph, cfg: SimConfig) -> dict:
     return {u: NodeState(cfg.seed, u) for u in g.node_ids}
 
 
-@dataclass(frozen=True)
-class SlotRecord:
+class SlotRecord(NamedTuple):
     """One transmission event, for JSONL traces."""
 
     round: int
@@ -176,12 +161,11 @@ class SlotRecord:
     receivers_collided: tuple
 
     def to_json(self) -> str:
+        """One JSON object, its keys in sorted order."""
         return json.dumps({
-            "round": self.round, "slot": self.slot,
-            "transmitter": self.transmitter, "kind": self.kind,
-            "receivers_ok": list(self.receivers_ok),
-            "receivers_collided": list(self.receivers_collided),
-        }, sort_keys=True)
+            "kind": self.kind, "receivers_collided": self.receivers_collided,
+            "receivers_ok": self.receivers_ok, "round": self.round,
+            "slot": self.slot, "transmitter": self.transmitter})
 
 
 @dataclass
@@ -215,8 +199,8 @@ class RoundLog:
         records = []
         for kind, s, talking, deaf, jam in self.slots:
             for u in talking:
-                reached = sorted(v for v in self.graph.adjacency[u]
-                                 if not deaf >> index[v] & 1)
+                reached = [v for v in self.graph.adjacency[u]
+                           if not deaf >> index[v] & 1]
                 ok = tuple(v for v in reached if not jam >> index[v] & 1)
                 bad = tuple(v for v in reached if jam >> index[v] & 1)
                 records.append(SlotRecord(t, s, u, kind, ok, bad))
@@ -385,18 +369,17 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
 
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
-    noisy = 0  # the node mask of everyone who heard an error slot
     for s, yelling in _by_slot(echoers).items():
         deaf, jam = _slot(g, yelling)
         collisions_heard += jam.bit_count()
-        for y in yelling:
-            noisy |= g.reach[y] & ~deaf
         slots.append(("error", s, yelling, deaf, jam))
 
-    # a sender that heard no error slot at all declares success
+    # a sender that heard no error slot at all declares success; senders
+    # never echo, so a sender heard one exactly when it neighbors an echoer
+    noisy = {v for y in echoers for v in g.adjacency[y]}
     succeeded = set()
     for u in senders:
-        if not noisy >> g.node_index[u] & 1:
+        if u not in noisy:
             succeeded.add(u)
             states[u].pending.popleft()
     return RoundLog(succeeded=frozenset(succeeded),
@@ -432,11 +415,11 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
 
     # every listener that received data this round acks once; ackers are
     # never simultaneously data senders, so one slot each suffices.  They
-    # draw in node_ids order; a lone sender's ackers are its neighbors,
-    # whose list is in that order already
+    # draw in id order; a lone sender's ackers are its neighbors, whose
+    # list is in that order already.  The ackers come from id lists, since
+    # walking the n-bit node mask costs O(n)
     ackers = (g.adjacency[senders[0]] if len(senders) == 1
-              else sorted(set(got).difference(slot_of),
-                          key=g.node_index.__getitem__))
+              else sorted(set(got).difference(slot_of)))
     ack_slot = _draws(states, ackers, half, half + 1)
     sharing: dict = {}
     for v, s in ack_slot.items():
@@ -632,7 +615,6 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
         for r in rumors_in(plan.rumors, everything & ~states[node].held))
     return DistMetrics(rounds=rounds, data_messages=data_messages,
                        control_messages=control_messages,
-                       retransmissions_per_node=dict(sorted(retx.items(),
-                                                            key=str)),
+                       retransmissions_per_node=retx,
                        undelivered=undelivered,
                        collisions_heard=collisions_heard)

@@ -100,7 +100,9 @@ def _link_blocked(a: NodeSpec, b: NodeSpec, obstacles: Sequence[Obstacle]) -> bo
 class NetworkGraph:
     """A directed reachability graph over radio nodes.
 
-    ``adjacency`` maps each node id to its out-neighbors sorted by id.
+    ``adjacency`` maps each node id to its out-neighbors sorted by id, and
+    ``node_ids`` is the ids sorted: node order is id order throughout.
+    ``nodes`` is empty for a graph built ``from_adjacency``.
     ``symmetric`` reports whether every link is bidirectional, which holds
     automatically when all powers are equal.  One transposition of the
     adjacency, O(m), gives each node its sorted in-list, and the graph is
@@ -125,7 +127,7 @@ class NetworkGraph:
 
     @cached_property
     def node_index(self) -> Mapping[int | str, int]:
-        """Node id -> its bit position in node masks, in ``node_ids`` order."""
+        """Node id -> its bit position in node masks: its rank by id."""
         return {u: i for i, u in enumerate(self.node_ids)}
 
     @cached_property
@@ -136,13 +138,9 @@ class NetworkGraph:
 
     @property
     def combinatorial(self) -> bool:
-        """True for graphs built from explicit adjacency without geometry.
-
-        Geometric construction rejects non-positive powers, so the
-        zero-power placeholder records of ``from_adjacency`` identify
-        these graphs unambiguously.
-        """
-        return all(n.power == 0 for n in self.nodes)
+        """True for graphs without node records, as ``from_adjacency``
+        builds them; a geometric graph of no nodes is one too."""
+        return not self.nodes
 
     @cached_property
     def symmetric(self) -> bool:
@@ -175,12 +173,11 @@ class NetworkGraph:
     @classmethod
     def from_adjacency(cls, adjacency: Mapping[int | str, Iterable[int | str]],
                        *, alpha: float = 2.0) -> "NetworkGraph":
-        """Build a graph directly from an explicit adjacency mapping.
+        """Build a graph directly from an explicit adjacency mapping, with
+        no geometry and no node records.
 
-        Synthesizes degenerate node records (zero position and power) so the
-        combinatorial operations work without geometry.  Every referenced
-        neighbor must itself be a key, and ``alpha`` must lie in [2, 4]
-        as for ``build_network``.
+        Every referenced neighbor must itself be a key, and ``alpha`` must
+        lie in [2, 4] as for ``build_network``.
         """
         _check_alpha(alpha)
         adj: dict[int | str, tuple[int | str, ...]] = {}
@@ -192,8 +189,7 @@ class NetworkGraph:
                 if v == u:
                     raise ModelError(f"self-loop on {u!r}")
             adj[u] = outs
-        nodes = tuple(NodeSpec(i, 0.0, 0.0, 0.0) for i in sorted(adj))
-        return cls(nodes=nodes, obstacles=(), alpha=alpha, adjacency=adj)
+        return cls(nodes=(), obstacles=(), alpha=alpha, adjacency=adj)
 
 
 class _ReachMasks(dict):

@@ -268,3 +268,20 @@ def test_cluster_rejects_disconnected_member_set():
     g = path_graph([0, 1, 2, 3, 4])
     with pytest.raises(BackboneError):
         dfs_cluster(g, [0, 4])
+
+
+@pytest.mark.parametrize("members, root, parent, message", [
+    ((), 0, {}, "no members"),
+    ((1, 9), 1, {1: None, 9: 1}, "member 9 is not a node"),
+    ((1, 2), 0, {1: None, 2: 1}, "root 0 is not a member"),
+    ((1, 2), 1, {1: None}, "cover exactly the members"),
+    ((1, 2), 1, {1: None, 2: 1, 3: 2}, "cover exactly the members"),
+    ((1, 2), 1, {1: None, 2: 0}, "parent of 2 is not a member"),
+], ids=["empty", "unknown-member", "outside-root", "parent-missing",
+        "parent-extra", "outside-parent"])
+def test_validate_backbone_names_each_structural_error(members, root, parent,
+                                                       message):
+    g = path_graph([0, 1, 2, 3])
+    with pytest.raises(BackboneError, match=message):
+        validate_backbone(g, Backbone(members=members, root=root,
+                                      parent=parent))

@@ -445,3 +445,9 @@ def test_gossip_on_a_thousand_node_udg():
     assert metrics.holders == transposed_holders(g, reference)
     for r in (rumors[0], rumors[n // 2], rumors[-1]):
         assert reference.delivery_time[r] == replay_delivery(g, safe, r)
+
+
+def test_multibroadcast_schedule_needs_a_source():
+    g = NetworkGraph.from_adjacency({0: [1], 1: [0, 2], 2: [1]})
+    with pytest.raises(ScheduleError, match="no sources"):
+        multibroadcast_schedule(g, greedy_cds(g), [], 1)

@@ -16,6 +16,7 @@ from rumorcast.distributed import (
     DistributedError,
     NodeState,
     SimConfig,
+    SlotRecord,
     init_states,
     node_rng,
     run_distributed_multibroadcast,
@@ -537,3 +538,22 @@ def test_each_round_calls_the_module_round_routine_once(monkeypatch, mode,
     assert sum(log.data_messages for log in logs) == metrics.data_messages
     senders = {log.data_messages for log in logs}
     assert 1 in senders and max(senders) > 1
+
+
+@pytest.mark.parametrize("u, ok, bad", [(3, (1, 4), (5,)),
+                                        ("t", ("a", "b"), ("z",)),
+                                        (0, (), ())])
+def test_slot_record_json_keys_come_sorted(u, ok, bad):
+    rec = SlotRecord(7, 2, u, "data", ok, bad)
+    assert rec.to_json() == json.dumps(
+        {"round": 7, "slot": 2, "transmitter": u, "kind": "data",
+         "receivers_ok": list(ok), "receivers_collided": list(bad)},
+        sort_keys=True)
+
+
+def test_dist_metrics_export_retransmissions_by_id():
+    metrics = DistMetrics(rounds=1, data_messages=3, control_messages=0,
+                          retransmissions_per_node={"b": 2, "a": 0, "c": 1},
+                          undelivered=frozenset())
+    assert list(metrics.to_dict()["retransmissions_per_node"]) == [
+        "a", "b", "c"]

@@ -324,3 +324,22 @@ def test_symmetric_matches_a_set_of_links(g):
     want = all((v, u) in links for u, v in links)
     assert g.symmetric == want
     event("symmetric" if want else "one-way")
+
+
+def test_adjacency_graphs_hold_no_node_records():
+    # an adjacency graph keeps only its neighbor lists; its JSON form and
+    # that of a geometric graph of no nodes are the adjacency pairs
+    g = NetworkGraph.from_adjacency({"b": ["a"], "a": ["c", "b"],
+                                     "c": ["a"]})
+    assert g.nodes == () and g.combinatorial
+    d = network_to_dict(g)
+    assert d == {"alpha": 2.0, "adjacency": [["a", ["b", "c"]], ["b", ["a"]],
+                                             ["c", ["a"]]]}
+    assert network_to_dict(network_from_dict(d)) == d
+    assert network_to_dict(build_network([])) == {"alpha": 2.0,
+                                                  "adjacency": []}
+
+
+def test_diameter_of_an_empty_graph_is_refused():
+    with pytest.raises(ModelError, match="empty graph"):
+        diameter(NetworkGraph.from_adjacency({}))

@@ -16,9 +16,10 @@ jams only the middle sender's ack, and on fixed slots that send talkers
 down both paths of the data half: the plain pass of a talker that reaches
 no jammed or deaf node, and the per-listener test of the others.  The
 ``test_shortcut_`` tests pick talkers for the round shapes that need
-little work (lone talkers, CD rounds without echoers, single NoCD
-senders, lone and shared slots together, NoCD senders with shared
-listeners whose ackers share a slot), count the jam folds a round makes,
+little work (lone talkers, CD rounds without echoers, CD rounds whose
+senders hear only the echoers they neighbor, single NoCD senders, lone
+and shared slots together, NoCD senders with shared listeners whose
+ackers share a slot), count the jam folds a round makes,
 and check that a NoCD run never walks the n-bit node mask for its
 ackers.  The last tests pin the draws that come straight off each node's
 stream, and that a node state holds no bound method of its own.
@@ -599,6 +600,58 @@ def test_shortcut_nocd_runs_never_walk_the_node_mask(monkeypatch):
                       if r["kind"] == "data")
     assert max(talkers.values()) > 1
     assert walked and not any(walked)
+
+
+def test_shortcut_cd_senders_hear_only_the_echoers_they_neighbor():
+    # one slot per half-round, so every sender talks in slot 1: "a", "b"
+    # and "d" jam "x", which echoes to its neighbors "a" and "b" only ("d"
+    # reaches "x" one way); "c" reaches only "y", which hears it alone.  A
+    # sender fails exactly when it is a neighbor of an echoer
+    g = NetworkGraph.from_adjacency({"a": ["x"], "b": ["x"], "c": ["y"],
+                                     "d": ["x"], "x": ["a", "b"],
+                                     "y": ["c"]})
+    cfg = SimConfig(slot_factor=0.25, mode="cd", seed=5)
+    assert slot_count(g, cfg) == 1
+    pool = [Rumor(u, 0) for u in "abcd"]
+    ref = ref_states(g, cfg)
+    new = init_states(g, cfg)
+    for u, rumor in zip("abcd", pool):
+        ref[u].pending = deque([Batch((rumor,))])
+        new[u].pending = deque([mask_of(pool, [rumor])])
+    want = ref_round_cd(g, ref, "dcba", cfg)
+    got = run_round_cd(g, new, "dcba", cfg)
+    assert ([r.to_json() for r in got.records]
+            == [r.to_json() for r in want.records])
+    [error] = [r for r in got.records if r.kind == "error"]
+    assert (error.transmitter, error.receivers_ok) == ("x", ("a", "b"))
+    assert got.succeeded == want.succeeded == {"c", "d"}
+    assert got.collisions_heard == want.collisions_heard == 1
+    same_nodes(g, pool, ref, new)
+
+
+def someone_echoes(draw, g, ref, eligible, half):
+    # two or more talkers that jam a listener which sends no data, so it
+    # echoes
+    if len(eligible) < 2:
+        return None
+    talkers = draw(st.sets(st.sampled_from(eligible), min_size=2))
+    slot_of = {u: next_slot(ref[u], half) for u in talkers}
+    if not any(len(heard) > 1 and v not in talkers
+               for talking in ref_by_slot(slot_of).values()
+               for v, heard in ref_audible(g, talking).items()):
+        return None
+    return talkers
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(mode="cd", named=True), st.data())
+def test_shortcut_cd_rounds_with_echoers_match_the_reference(instance, data):
+    # the senders that hear an error slot are the echoers' neighbors, a set
+    # of string ids
+    logs = check_rounds(instance, data, someone_echoes)
+    assume(logs)
+    for log in logs:
+        assert log.control_messages > 0
 
 
 @pytest.mark.parametrize("seeded_first", [False, True])

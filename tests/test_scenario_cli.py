@@ -716,3 +716,54 @@ def test_cli_deeply_nested_network_file_exits_2(tmp_path, capsys):
         assert main([verb, "--scenario", str(spath)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("network, message", [
+    ({"adjacency": [[0, [1, 2]], [1, [0]]]}, "neighbor 2 of 0 is not a node"),
+    ({"adjacency": [[0, [0, 1]], [1, [0]]]}, "self-loop on 0"),
+], ids=["unknown-neighbor", "self-loop"])
+def test_cli_adjacency_naming_no_node_exits_2(tmp_path, capsys, network,
+                                              message):
+    code, err = _validate_network(tmp_path, capsys, network, [0])
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_cli_run_without_seeds_exits_2(tmp_path, capsys):
+    spath = str(tmp_path / "sp.json")
+    assert main(["gen", "star-path", "--k", "3", "--d", "1", "--c", "3",
+                 "--out", spath]) == 0
+    capsys.readouterr()
+    assert main(["run", "--scenario", spath, "--seeds", "0"]) == 2
+    assert capsys.readouterr().err == "error: --seeds must be >= 1\n"
+
+
+def test_cli_scenario_not_an_object_exits_2(tmp_path, capsys):
+    err = _refused(tmp_path, capsys, [{"name": "p"}])
+    assert err == "error: scenario must be an object\n"
+
+
+def test_cli_network_file_not_an_object_exits_2(tmp_path, capsys):
+    (tmp_path / "net.json").write_text(json.dumps([[0, [1]], [1, [0]]]))
+    err = _refused(tmp_path, capsys, {"name": "p", "network": "net.json",
+                                      "sources": [0], "c": 1})
+    assert err == "error: network description must be an object\n"
+
+
+def test_cli_gen_refuses_an_oracle_backbone_above_its_cap(tmp_path, capsys):
+    # the ring fixture has 19 nodes, above the oracle's 16: gen writes no
+    # scenario that run would refuse
+    out = tmp_path / "ring.json"
+    capsys.readouterr()
+    assert main(["gen", "ring", "--backbone", "oracle", "--out",
+                 str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: brute_force_mcds is capped at 16 nodes, got 19\n")
+    assert not out.exists()
+
+
+def test_cli_gen_oracle_backbone_at_its_cap_runs(tmp_path, capsys):
+    out = str(tmp_path / "udg.json")
+    assert main(["gen", "udg", "--n", "16", "--k", "2", "--c", "2",
+                 "--backbone", "oracle", "--out", out]) == 0
+    assert main(["run", "--scenario", out]) == 0
