@@ -16,13 +16,8 @@ import argparse
 import csv
 import sys
 
-from rumorcast.backbone import (
-    BRUTE_FORCE_NODE_LIMIT,
-    bounded_diameter_cds,
-    brute_force_mcds,
-    greedy_cds,
-)
-from rumorcast.bounds import message_lower_bound
+from rumorcast.backbone import bounded_diameter_cds, greedy_cds
+from rumorcast.bounds import bound_report
 from rumorcast.central import multibroadcast_schedule, simulate_schedule
 from rumorcast.fixtures import gen_random_udg, pick_sources
 from rumorcast.model import NetworkGraph, diameter
@@ -42,15 +37,13 @@ def sweep_row(seed: int, n: int, args) -> tuple:
     g = gen_random_udg(n, args.radius, seed=seed, connect_retry=args.retry)
     greedy = greedy_cds(g)
     bounded = bounded_diameter_cds(g)
-    if len(g.node_ids) <= BRUTE_FORCE_NODE_LIMIT:
-        oracle_size = brute_force_mcds(g).size
-    else:
-        oracle_size = ""
+    # the floors use the exact oracle where the network is small enough
+    floors = bound_report(g, args.k, args.c)
+    oracle_size = floors.mcds_size if floors.mcds_is_exact else ""
     sources = pick_sources(g, args.k)
     sched = multibroadcast_schedule(g, greedy, sources, args.c)
     met = simulate_schedule(g, sched)
-    lb = message_lower_bound(args.k, args.c,
-                             oracle_size if oracle_size else greedy.size)
+    lb = floors.message_lb
     return (seed, len(g.node_ids), g.max_degree, diameter(g), greedy.size,
             bounded.size, oracle_size, member_hop_diameter(g, bounded.members),
             met.messages, met.makespan, lb, f"{met.messages / lb:.4f}")

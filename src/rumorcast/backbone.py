@@ -132,7 +132,7 @@ def build_arborescence(g: NetworkGraph, members: Sequence,
         raise BackboneError(f"root {root!r} is not a member")
     parent = _member_walk(g, group, root)
     if len(parent) != len(group):
-        missing = sorted(group - set(parent))[0]
+        missing = min(group.difference(parent))
         raise BackboneError(
             f"members are not connected: {missing!r} unreachable from root")
     return parent
@@ -141,26 +141,28 @@ def build_arborescence(g: NetworkGraph, members: Sequence,
 def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
     """Check domination, member connectivity, and arborescence shape.
 
+    Connectivity needs no walk of its own: every non-root member hangs
+    from a member parent by a network edge, so ``bb.depth``, the root's
+    walk down parent links, proves the members connected by reaching
+    them all, and a member it misses sits on a parent cycle.
+
     Raises BackboneError with a specific message on the first violation.
     """
     members = bb.members
     if not members:
         raise BackboneError("backbone has no members")
-    if list(members) != sorted(set(members)):
-        raise BackboneError("members must be sorted and unique")
-    ids = set(g.node_ids)
-    for m in members:
-        if m not in ids:
-            raise BackboneError(f"member {m!r} is not a node of the network")
-    if bb.root not in members:
-        raise BackboneError(f"root {bb.root!r} is not a member")
     group = set(members)
+    if list(members) != sorted(group):
+        raise BackboneError("members must be sorted and unique")
+    for m in members:
+        if m not in g.adjacency:
+            raise BackboneError(f"member {m!r} is not a node of the network")
+    if bb.root not in group:
+        raise BackboneError(f"root {bb.root!r} is not a member")
     uncovered = set(g.node_ids).difference(
         group, *(g.adjacency[m] for m in group))
     if uncovered:
         raise BackboneError(f"node {min(uncovered)!r} is not dominated")
-    if len(_member_walk(g, group, bb.root)) != len(group):
-        raise BackboneError("members do not induce a connected subgraph")
     if set(bb.parent) != group:
         raise BackboneError("parent map must cover exactly the members")
     if bb.parent[bb.root] is not None:
@@ -173,8 +175,6 @@ def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
             raise BackboneError(f"parent of {m!r} is not a member")
         if m not in g.adjacency[p]:
             raise BackboneError(f"parent link {p!r} -> {m!r} is not an edge")
-    # every parent is a member, so a member the root's walk misses sits on
-    # a parent cycle
     if len(bb.depth) != len(members):
         raise BackboneError("parent links contain a cycle")
 
@@ -214,11 +214,7 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
     _require_symmetric(g, "greedy_cds")
     if not is_strongly_connected(g):
         raise DisconnectedError("greedy_cds needs a connected network")
-    ids = list(g.node_ids)
-    if len(ids) == 1:
-        only = ids[0]
-        return Backbone(members=(only,), root=only, parent={only: None})
-
+    ids = g.node_ids
     adj = g.adjacency
     white = set(ids)
     black: set = set()
@@ -297,7 +293,7 @@ def brute_force_mcds(g: NetworkGraph) -> Backbone:
     of at most BRUTE_FORCE_NODE_LIMIT nodes.
     """
     _require_symmetric(g, "brute_force_mcds")
-    ids = sorted(g.node_ids)
+    ids = g.node_ids
     n = len(ids)
     if n > BRUTE_FORCE_NODE_LIMIT:
         raise ModelError(

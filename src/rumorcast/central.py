@@ -167,10 +167,10 @@ def broadcast_schedule(g: NetworkGraph, bb: Backbone,
     if entry != source:
         by_round[1] = [Transmission(source, batch)]
         t0 = 1
-    flood = Backbone(members=bb.members, root=entry,
-                     parent=build_arborescence(g, bb.members, entry))
-    for u, depth in flood.depth.items():
-        by_round.setdefault(t0 + depth + 1, []).append(
+    depth: dict = {}  # the arborescence lists parents before children
+    for u, p in build_arborescence(g, bb.members, entry).items():
+        depth[u] = 0 if p is None else depth[p] + 1
+        by_round.setdefault(t0 + depth[u] + 1, []).append(
             Transmission(u, batch))
     return _rounds_from_map(by_round)
 

@@ -84,7 +84,10 @@ def _cmd_run(args) -> int:
     if args.seeds is not None:
         if args.seeds < 1:
             raise ScenarioError("--seeds must be >= 1")
-        seeds = list(range(args.seeds))
+        try:
+            seeds = list(range(args.seeds))
+        except OverflowError:
+            raise ScenarioError(f"--seeds {args.seeds} is too many") from None
     else:
         seeds = [args.seed if args.seed is not None else 0]
     report = run_experiment(sc, seeds)

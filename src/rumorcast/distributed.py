@@ -172,8 +172,8 @@ class SlotRecord(NamedTuple):
 class RoundLog:
     """What one simulated round did.
 
-    ``slots`` holds ``(kind, slot, talkers, deaf, jam)`` for each data or
-    error slot, with the two node masks of ``_slot``, in trace order.
+    ``slots`` holds ``(kind, slot, talkers, jam)`` for each data or error
+    slot in trace order, with ``_slot``'s jam mask; talkers are deaf.
     ``acks`` maps each acker to its ack slot, in trace order, and
     ``verdicts`` maps an addressed acker to the sorted senders its ack
     reached and the sorted senders where it was jammed; an acker missing
@@ -197,10 +197,10 @@ class RoundLog:
         t = self.round_index
         index = self.graph.node_index
         records = []
-        for kind, s, talking, deaf, jam in self.slots:
+        for kind, s, talking, jam in self.slots:
             for u in talking:
                 reached = [v for v in self.graph.adjacency[u]
-                           if not deaf >> index[v] & 1]
+                           if v not in talking]
                 ok = tuple(v for v in reached if not jam >> index[v] & 1)
                 bad = tuple(v for v in reached if jam >> index[v] & 1)
                 records.append(SlotRecord(t, s, u, kind, ok, bad))
@@ -294,11 +294,11 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
     A listener that exactly one talker reaches takes the batch.  A talker
     whose reach meets no jammed or deaf node hands its batch to every
     neighbor in one plain pass; only the others test each listener.
-    Appends each slot's ``("data", slot, talkers, deaf, jam)`` to
-    ``slots``.  Returns the ids of the listeners that took a batch, as
-    the batches are delivered (a listener that took two comes twice, and
-    a sender that took one in another slot comes too), each listener's
-    first collision slot, and the number of collisions heard.
+    Appends each slot's ``("data", slot, talkers, jam)`` to ``slots``.
+    Returns the ids of the listeners that took a batch, as the batches
+    are delivered (a listener that took two comes twice, and a sender
+    that took one in another slot comes too), each listener's first
+    collision slot, and the number of collisions heard.
     """
     index = g.node_index
     reach = g.reach
@@ -323,7 +323,7 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
                     states[v].held |= sent
                     got.append(v)
         collisions_heard += jam.bit_count()
-        slots.append(("data", s, talking, deaf, jam))
+        slots.append(("data", s, talking, jam))
     return got, first_collision, collisions_heard
 
 
@@ -370,9 +370,9 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     echoers = {v: half + first_collision[v] for v in first_collision
                if v not in slot_of}
     for s, yelling in _by_slot(echoers).items():
-        deaf, jam = _slot(g, yelling)
+        _, jam = _slot(g, yelling)
         collisions_heard += jam.bit_count()
-        slots.append(("error", s, yelling, deaf, jam))
+        slots.append(("error", s, yelling, jam))
 
     # a sender that heard no error slot at all declares success; senders
     # never echo, so a sender heard one exactly when it neighbors an echoer

@@ -1,7 +1,7 @@
 """Connected dominating set construction and validation tests."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumorcast.model import (
@@ -285,3 +285,130 @@ def test_validate_backbone_names_each_structural_error(members, root, parent,
     with pytest.raises(BackboneError, match=message):
         validate_backbone(g, Backbone(members=members, root=root,
                                       parent=parent))
+
+
+def reference_validate_backbone(g, bb):
+    """The validator with its own walk of the member subgraph, kept as the
+    reference for which backbones ``validate_backbone`` must reject."""
+    members = bb.members
+    if not members:
+        raise BackboneError("backbone has no members")
+    if list(members) != sorted(set(members)):
+        raise BackboneError("members must be sorted and unique")
+    ids = set(g.node_ids)
+    for m in members:
+        if m not in ids:
+            raise BackboneError(f"member {m!r} is not a node of the network")
+    if bb.root not in members:
+        raise BackboneError(f"root {bb.root!r} is not a member")
+    group = set(members)
+    uncovered = set(g.node_ids).difference(
+        group, *(g.adjacency[m] for m in group))
+    if uncovered:
+        raise BackboneError(f"node {min(uncovered)!r} is not dominated")
+    reached = [bb.root]
+    for u in reached:
+        reached += [v for v in g.adjacency[u]
+                    if v in group and v not in reached]
+    if len(reached) != len(group):
+        raise BackboneError("members do not induce a connected subgraph")
+    if set(bb.parent) != group:
+        raise BackboneError("parent map must cover exactly the members")
+    if bb.parent[bb.root] is not None:
+        raise BackboneError("root must have no parent")
+    for m in members:
+        p = bb.parent[m]
+        if m == bb.root:
+            continue
+        if p not in group:
+            raise BackboneError(f"parent of {m!r} is not a member")
+        if m not in g.adjacency[p]:
+            raise BackboneError(f"parent link {p!r} -> {m!r} is not an edge")
+    if len(bb.depth) != len(members):
+        raise BackboneError("parent links contain a cycle")
+
+
+@st.composite
+def proposed_backbones(draw, max_nodes=7):
+    """A small symmetric or directed graph and a backbone proposed for it.
+
+    Members are a random set of nodes and the root one of them.  Parent
+    links come from a breadth-first walk over the members, which puts the
+    members it cannot reach on random member parents, or from random
+    member parents throughout, joined by an edge where one can be; they
+    give parent cycles, non-edge links and disconnected member sets, as
+    well as valid arborescences.  Then at most one flaw is drawn:
+    no members, unsorted or repeated members, an unknown member, a root
+    outside the members, or a parent key dropped, added or redrawn (id n
+    is never a node).
+    """
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    symmetric = draw(st.booleans())
+    # a random tree out of node 0, so that many member sets are connected,
+    # plus random links
+    links = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    links += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)), max_size=12))
+    adj = {u: set() for u in range(n)}
+    for a, b in links:
+        if a != b:
+            adj[a].add(b)
+            if symmetric:
+                adj[b].add(a)
+    g = NetworkGraph.from_adjacency(adj)
+    ids = st.integers(0, n)
+    members = sorted(set(range(n)).difference(
+        draw(st.sets(st.integers(0, n - 1), max_size=n - 1))))
+    root = draw(st.sampled_from(members))
+    parent = {root: None}
+    tie = draw(st.sampled_from(["walk", "edges", "any"]))
+    if tie == "walk":
+        order = [root]
+        for u in order:
+            for v in g.adjacency[u]:
+                if v in members and v not in parent:
+                    parent[v] = u
+                    order.append(v)
+    for m in members:
+        if m not in parent:
+            linked = [p for p in members if m in g.adjacency[p]]
+            parent[m] = draw(st.sampled_from(
+                linked if tie == "edges" and linked else members))
+    flaw = draw(st.sampled_from(["none", "empty", "unsorted", "unknown",
+                                 "outside-root", "drop", "add", "redraw"]))
+    if flaw == "empty":
+        members = []
+    elif flaw == "unsorted":
+        members = members[::-1] + members[:1]
+    elif flaw == "unknown":
+        members.append(n)
+    elif flaw == "outside-root":
+        root = draw(ids.filter(lambda v: v not in members))
+    elif flaw == "drop":
+        del parent[draw(st.sampled_from(members))]
+    elif flaw == "add":
+        parent[draw(ids)] = draw(st.one_of(st.none(), ids))
+    elif flaw == "redraw":
+        parent[draw(st.sampled_from(members))] = draw(
+            st.one_of(st.none(), ids))
+    return g, Backbone(members=tuple(members), root=root, parent=parent)
+
+
+def rejects(validate, g, bb) -> bool:
+    try:
+        validate(g, bb)
+    except BackboneError:
+        return True
+    return False
+
+
+@given(proposed_backbones())
+@example((path_graph([0, 1, 2]),
+          Backbone(members=(1,), root=1, parent={1: None})))
+@example((path_graph([0, 1, 2, 3, 4]),
+          Backbone(members=(1, 3), root=1, parent={1: None, 3: 1})))
+@settings(max_examples=400, deadline=None)
+def test_validate_backbone_rejects_what_the_member_walk_rejects(case):
+    g, bb = case
+    assert rejects(validate_backbone, g, bb) == rejects(
+        reference_validate_backbone, g, bb)

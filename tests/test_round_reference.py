@@ -473,7 +473,7 @@ def lone_and_shared_slots(draw, g, ref, eligible, half):
 
 
 def data_slots(log):
-    return [(talking, jam) for kind, _, talking, _, jam in log.slots
+    return [(talking, jam) for kind, _, talking, jam in log.slots
             if kind == "data"]
 
 
@@ -544,7 +544,7 @@ def test_shortcut_lone_data_slots_never_call_jammed(monkeypatch, mode):
     run_round = run_round_cd if mode == "cd" else run_round_nocd
     log = run_round(g, states, senders, cfg)
     assert sorted(len(talking) for talking, _ in data_slots(log)) == [1, 4]
-    assert folded == [talking for _, _, talking, _, _ in log.slots
+    assert folded == [talking for _, _, talking, _ in log.slots
                       if len(talking) > 1]
     assert any(len(talking) == 4 for talking in folded)
 

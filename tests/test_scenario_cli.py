@@ -738,6 +738,18 @@ def test_cli_run_without_seeds_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --seeds must be >= 1\n"
 
 
+def test_cli_run_with_seeds_past_any_list_exits_2(tmp_path, capsys):
+    # the count overflows a list's length before anything is allocated
+    spath = str(tmp_path / "sp.json")
+    assert main(["gen", "star-path", "--k", "3", "--d", "1", "--c", "3",
+                 "--out", spath]) == 0
+    capsys.readouterr()
+    seeds = "100000000000000000000"
+    assert main(["run", "--scenario", spath, "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seeds ") and err.count("\n") == 1
+
+
 def test_cli_scenario_not_an_object_exits_2(tmp_path, capsys):
     err = _refused(tmp_path, capsys, [{"name": "p"}])
     assert err == "error: scenario must be an object\n"
