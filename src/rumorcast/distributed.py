@@ -38,9 +38,11 @@ only when they are read, which untraced runs never do.
 Reception in a slot follows ``model.jammed`` over the talkers' reach
 masks: a listener reached by two or more talkers is jammed, one reached by
 exactly one takes the data, and a transmitting node is deaf for that slot.
-A round pays only for the contention that happens: ``_slot``,
-``_data_half`` and ``run_round_nocd`` each state, beside their code, the
+A round pays only for the contention that happens, and a CD round
+without echoers does no error-slot fold: ``_slot``, ``_data_half``,
+``_ackers`` and the round routines state, beside their code, the
 shortcuts they take and why each gives what the general rule gives.
+Only the units a stage arms get a batch queue and an address set.
 """
 
 from __future__ import annotations
@@ -51,11 +53,14 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .backbone import Backbone, validate_backbone
 from .central import Plan, plan_multibroadcast, rumors_in
 from .model import ModelError, NetworkGraph, jammed
+
+_EMPTY: Mapping = MappingProxyType({})  # a CD round's acks and verdicts
 
 
 class DistributedError(ValueError):
@@ -108,9 +113,13 @@ def slots_per_half(slot_factor: float, max_degree: int) -> int:
 
 def slot_count(g: NetworkGraph, cfg: SimConfig) -> int:
     """``slots_per_half`` of the supplied degree bound, or of the true
-    maximum degree when none is supplied."""
-    return slots_per_half(cfg.slot_factor,
-                          cfg.supplied_max_degree or g.max_degree)
+    maximum degree when none is supplied; kept on the graph for the latest
+    ``cfg`` (by identity), so the rounds of a run compute it once."""
+    kept = vars(g).get("_slot_count")
+    if kept is None or kept[0] is not cfg:
+        kept = vars(g)["_slot_count"] = (cfg, slots_per_half(
+            cfg.slot_factor, cfg.supplied_max_degree or g.max_degree))
+    return kept[1]
 
 
 class NodeState:
@@ -118,10 +127,11 @@ class NodeState:
 
     ``held`` is the mask of the rumors the node holds, ``pending`` queues
     the masks of the batches still to send, and ``awaiting_ack`` the
-    listeners that must still confirm the front one.  ``rng_stream`` is
-    ``node_rng(seed, node)``, built on the node's first draw, and
-    ``_getrandbits`` is that stream's own bound ``getrandbits``, None until
-    then.  It is the stream's method, not one of the state's, so a state
+    listeners that must still confirm the front one.  Both start empty
+    and read-only; a run gives only the units it arms a deque and a set.
+    ``rng_stream`` is ``node_rng(seed, node)``, built on the node's first
+    draw, and ``_getrandbits`` is that stream's own bound ``getrandbits``,
+    None until then: the stream's method, not the state's, so a state
     holds no reference cycle and is freed without the cyclic collector.
     """
 
@@ -130,8 +140,8 @@ class NodeState:
 
     def __init__(self, seed: int, node: int | str):
         self.held = 0
-        self.pending: deque = deque()
-        self.awaiting_ack: set = set()
+        self.pending: deque | tuple = ()
+        self.awaiting_ack: set | frozenset = frozenset()
         self._seed = seed
         self._node = node
         self._rng: random.Random | None = None
@@ -177,7 +187,7 @@ class RoundLog:
     ``acks`` maps each acker to its ack slot, in trace order, and
     ``verdicts`` maps an addressed acker to the sorted senders its ack
     reached and the sorted senders where it was jammed; an acker missing
-    from it reached and was jammed at none.
+    from it reached and was jammed at none.  A CD round has neither.
     ``records``, the round's ``SlotRecord``s, is built from them on first
     read and then cached, so a run that never reads it builds none.
     """
@@ -189,8 +199,8 @@ class RoundLog:
     graph: NetworkGraph = field(repr=False)
     round_index: int
     slots: tuple
-    acks: Mapping = field(default_factory=dict)
-    verdicts: Mapping = field(default_factory=dict)
+    acks: Mapping
+    verdicts: Mapping
 
     @cached_property
     def records(self) -> tuple[SlotRecord, ...]:
@@ -258,7 +268,7 @@ def _slot(g: NetworkGraph, talking: list) -> tuple[int, int]:
 def _by_slot(slot_of: Mapping) -> dict[int, list]:
     """Each used slot -> its talkers sorted, keyed in slot order."""
     talkers: dict = {}
-    for s, u in sorted([(s, u) for u, s in slot_of.items()]):
+    for s, u in sorted(zip(slot_of.values(), slot_of)):
         talkers.setdefault(s, []).append(u)
     return talkers
 
@@ -288,21 +298,17 @@ def _draws(states: Mapping, nodes: Iterable, half: int,
 
 
 def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
-               front: Mapping, slots: list) -> tuple[list, dict, int]:
+               front: Mapping, slots: list) -> tuple[dict, int]:
     """First half-round: every sender sends its front batch in its slot.
 
     A listener that exactly one talker reaches takes the batch.  A talker
     whose reach meets no jammed or deaf node hands its batch to every
     neighbor in one plain pass; only the others test each listener.
     Appends each slot's ``("data", slot, talkers, jam)`` to ``slots``.
-    Returns the ids of the listeners that took a batch, as the batches
-    are delivered (a listener that took two comes twice, and a sender
-    that took one in another slot comes too), each listener's first
-    collision slot, and the number of collisions heard.
+    Returns each listener's first collision slot and the collisions heard.
     """
     index = g.node_index
     reach = g.reach
-    got: list = []
     first_collision: dict = {}
     collisions_heard = 0
     for s, talking in _by_slot(slot_of).items():
@@ -311,7 +317,6 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
         for u in talking:
             sent = front[u]
             if not reach[u] & blocked:
-                got += g.adjacency[u]
                 for v in g.adjacency[u]:
                     states[v].held |= sent
                 continue
@@ -321,31 +326,61 @@ def _data_half(g: NetworkGraph, states: Mapping, slot_of: Mapping,
                     first_collision.setdefault(v, s)
                 elif not bit & deaf:
                     states[v].held |= sent
-                    got.append(v)
         collisions_heard += jam.bit_count()
         slots.append(("data", s, talking, jam))
-    return got, first_collision, collisions_heard
+    return first_collision, collisions_heard
+
+
+def _ackers(g: NetworkGraph, slots: list, slot_of: Mapping) -> Sequence:
+    """The listeners that took a batch in the data ``slots`` and sent none,
+    in id order, from id lists, since walking the n-bit node mask costs
+    O(n): a lone sender's neighbors, listed in that order already, or else
+    each talker's unjammed neighbors, all of them when it reaches no
+    jammed node."""
+    if len(slot_of) == 1:
+        return g.adjacency[next(iter(slot_of))]
+    index = g.node_index
+    reach = g.reach
+    got: list = []
+    for _, _, talking, jam in slots:
+        for u in talking:
+            got += ([v for v in g.adjacency[u] if not jam >> index[v] & 1]
+                    if reach[u] & jam else g.adjacency[u])
+    return sorted(set(got).difference(slot_of))
 
 
 def _open_round(g: NetworkGraph, states: Mapping, transmitters: Iterable,
                 cfg: SimConfig, mode: str) -> tuple[list, int, dict, dict]:
-    """Check a round's transmitters and draw each one's data slot.
+    """Check a round's transmitters, then draw each one's data slot.
 
-    Every transmitter must be a known node with a batch to send.  Returns
-    the sorted senders, the slots per half-round, each sender's first-half
-    slot, drawn in sender order, and the mask of its front batch.
+    Every transmitter must be a known node with a batch to send and, in
+    NoCD, neighbors to address; all checks run before the first draw, so
+    a rejected round advances no stream.  Returns the sorted senders, the
+    slots per half-round, each sender's first-half slot, drawn in sender
+    order, and its front batch's mask.
     """
     if cfg.mode != mode:
         raise DistributedError(f"run_round_{mode} needs cfg.mode == '{mode}'")
     senders = sorted(set(transmitters))
+    front = {}
     for u in senders:
         if u not in g.adjacency:
             raise ModelError(f"unknown transmitter {u!r}")
-        if not states[u].pending:
+        state = states[u]
+        if not state.pending:
             raise DistributedError(f"transmitter {u!r} has no batch to send")
+        if mode == "nocd":
+            if not state.awaiting_ack:
+                raise DistributedError(
+                    f"transmitter {u!r} has nobody to address")
+            extra = state.awaiting_ack.difference(g.adjacency[u])
+            if extra:
+                raise DistributedError(
+                    f"transmitter {u!r} addresses non-neighbors "
+                    f"{sorted(extra, key=str)}")
+        front[u] = state.pending[0]
     half = slot_count(g, cfg)
-    return (senders, half, _draws(states, senders, half),
-            {u: states[u].pending[0] for u in senders})
+    return senders, half, _draws(states, senders, half), front
 
 
 def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
@@ -364,29 +399,27 @@ def run_round_cd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     senders, half, slot_of, front = _open_round(g, states, transmitters,
                                                 cfg, "cd")
     slots: list = []
-    _, first_collision, collisions_heard = _data_half(g, states, slot_of,
-                                                      front, slots)
+    first_jam, collisions_heard = _data_half(g, states, slot_of, front, slots)
 
-    echoers = {v: half + first_collision[v] for v in first_collision
-               if v not in slot_of}
-    for s, yelling in _by_slot(echoers).items():
-        _, jam = _slot(g, yelling)
-        collisions_heard += jam.bit_count()
-        slots.append(("error", s, yelling, jam))
-
-    # a sender that heard no error slot at all declares success; senders
-    # never echo, so a sender heard one exactly when it neighbors an echoer
-    noisy = {v for y in echoers for v in g.adjacency[y]}
-    succeeded = set()
-    for u in senders:
-        if u not in noisy:
-            succeeded.add(u)
-            states[u].pending.popleft()
+    echoers = {v: half + s for v, s in first_jam.items() if v not in slot_of}
+    succeeded = senders  # a quiet round: nobody echoes, every sender wins
+    if echoers:
+        for s, yelling in _by_slot(echoers).items():
+            _, jam = _slot(g, yelling)
+            collisions_heard += jam.bit_count()
+            slots.append(("error", s, yelling, jam))
+        # a sender that heard no error slot declares success; senders never
+        # echo, so a sender heard one exactly when it neighbors an echoer
+        noisy = {v for y in echoers for v in g.adjacency[y]}
+        succeeded = [u for u in senders if u not in noisy]
+    for u in succeeded:
+        states[u].pending.popleft()
     return RoundLog(succeeded=frozenset(succeeded),
                     data_messages=len(senders),
                     control_messages=len(echoers),
                     collisions_heard=collisions_heard, graph=g,
-                    round_index=round_index, slots=tuple(slots))
+                    round_index=round_index, slots=tuple(slots),
+                    acks=_EMPTY, verdicts=_EMPTY)
 
 
 def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
@@ -403,51 +436,42 @@ def run_round_nocd(g: NetworkGraph, states: Mapping, transmitters: Iterable,
     """
     senders, half, slot_of, front = _open_round(g, states, transmitters,
                                                 cfg, "nocd")
-    for u in senders:
-        if not states[u].awaiting_ack:
-            raise DistributedError(f"transmitter {u!r} has nobody to address")
-        extra = states[u].awaiting_ack.difference(g.adjacency[u])
-        if extra:
-            raise DistributedError(
-                f"transmitter {u!r} addresses non-neighbors {sorted(extra, key=str)}")
     slots: list = []
-    got, _, collisions_heard = _data_half(g, states, slot_of, front, slots)
+    _, collisions_heard = _data_half(g, states, slot_of, front, slots)
 
-    # every listener that received data this round acks once; ackers are
-    # never simultaneously data senders, so one slot each suffices.  They
-    # draw in id order; a lone sender's ackers are its neighbors, whose
-    # list is in that order already.  The ackers come from id lists, since
-    # walking the n-bit node mask costs O(n)
-    ackers = (g.adjacency[senders[0]] if len(senders) == 1
-              else sorted(set(got).difference(slot_of)))
+    # every listener that received data acks once, in id order; ackers
+    # never send data, so one slot each suffices
+    ackers = _ackers(g, slots, slot_of)
     ack_slot = _draws(states, ackers, half, half + 1)
     sharing: dict = {}
     for v, s in ack_slot.items():
         sharing.setdefault(s, []).append(v)
     # sender by sender, so each acker's verdict lists come out sorted; the
-    # walk copies the list because an acked listener leaves it at once.
-    # Only an acker that shares its slot can have a rival
+    # walk copies the list, as an acked listener leaves it at once.  A rival
+    # is another sharer that neighbors the acker or reaches the sender
     verdicts: dict = {}  # addressed acker -> (senders reached, jammed)
     adjacency = g.adjacency
     for u in senders:
         waiting = states[u].awaiting_ack
         for v in [v for v in waiting if v in ack_slot]:
-            sharers = sharing[ack_slot[v]]
             near = adjacency[v]
-            if len(sharers) > 1 and any(
-                    z != v and (z in near or u in adjacency[z])
-                    for z in sharers):
-                verdicts.setdefault(v, ([], []))[1].append(u)
-                collisions_heard += 1
-            elif not front[u] & ~states[v].held:
-                verdicts.setdefault(v, ([], []))[0].append(u)
+            for z in sharing[ack_slot[v]]:
+                if z != v and (z in near or u in adjacency[z]):
+                    side = 1
+                    collisions_heard += 1
+                    break
+            else:
+                if front[u] & ~states[v].held:
+                    continue
+                side = 0
                 waiting.discard(v)
+            if v not in verdicts:
+                verdicts[v] = ([], [])
+            verdicts[v][side].append(u)
 
-    succeeded = set()
-    for u in senders:
-        if not states[u].awaiting_ack:
-            succeeded.add(u)
-            states[u].pending.popleft()
+    succeeded = [u for u in senders if not states[u].awaiting_ack]
+    for u in succeeded:
+        states[u].pending.popleft()
     return RoundLog(succeeded=frozenset(succeeded),
                     data_messages=len(senders),
                     control_messages=len(ackers),
@@ -562,8 +586,9 @@ def _run_stage(g: NetworkGraph, states: Mapping, stage: list, run_round,
         control_messages += log.control_messages
         collisions_heard += log.collisions_heard
         if used < left:  # a failed sender sends again
-            for u in active - log.succeeded:
-                retx[u] += 1
+            for u in active:
+                if u not in log.succeeded:
+                    retx[u] += 1
         for u in log.succeeded:
             if states[u].pending:
                 states[u].awaiting_ack = set(audience_of[u])

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -263,6 +264,54 @@ def test_nocd_round_rejects_bad_state():
         run_round_nocd(g, states, {0}, cfg)  # 0 is not its own neighbor
     with pytest.raises(DistributedError):
         run_round_nocd(g, states, set(), SimConfig(slot_factor=1.0))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (set(), "transmitter 2 has nobody to address"),
+    ({0, 1}, r"transmitter 2 addresses non-neighbors \[0\]")])
+def test_rejected_nocd_round_draws_no_stream(bad, message):
+    # "2" has a bad address list and "0" a good one: the round is refused
+    # before either draws its slot, so no stream is seeded or advanced
+    g = sym({0: [1], 1: [0, 2], 2: [1]})
+    cfg = SimConfig(slot_factor=1.0, mode="nocd")
+    states = armed(g, cfg, {0: 1, 2: 2})
+    states[0].awaiting_ack = {1}
+    states[2].awaiting_ack = bad
+    with pytest.raises(DistributedError, match=message):
+        run_round_nocd(g, states, {0, 2}, cfg)
+    assert all(state._rng is None for state in states.values())
+
+
+@pytest.mark.parametrize("mode", ["cd", "nocd"])
+def test_a_never_armed_state_is_empty_and_has_nothing_to_send(mode):
+    g = edge()
+    cfg = SimConfig(slot_factor=1.0, mode=mode)
+    states = init_states(g, cfg)
+    assert len(states[0].pending) == 0
+    assert not states[0].awaiting_ack
+    run_round = run_round_cd if mode == "cd" else run_round_nocd
+    with pytest.raises(DistributedError,
+                       match="transmitter 0 has no batch to send"):
+        run_round(g, states, {0}, cfg)
+    assert states[0]._rng is None
+
+
+def test_init_states_builds_no_queue_per_node():
+    # a node gets a queue and an address set only when a run arms it as a
+    # unit, so fresh states on a 20,000-node path stay small per node
+    n = 20_000
+    g = sym({u: [v for v in (u - 1, u + 1) if 0 <= v < n]
+             for u in range(n)})
+    assert len(g.node_ids) == n  # cached on the graph before tracing
+    cfg = SimConfig(slot_factor=1.0)
+    tracemalloc.start()
+    try:
+        states = init_states(g, cfg)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(states) == n
+    assert traced / n < 400
 
 
 @settings(max_examples=120, deadline=None)

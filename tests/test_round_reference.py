@@ -19,7 +19,8 @@ no jammed or deaf node, and the per-listener test of the others.  The
 little work (lone talkers, CD rounds without echoers, CD rounds whose
 senders hear only the echoers they neighbor, single NoCD senders, lone
 and shared slots together, NoCD senders with shared listeners whose
-ackers share a slot), count the jam folds a round makes,
+ackers share a slot, NoCD acks that share their slot with non-rivals),
+count the jam folds a round makes and the slot sorts a CD round makes,
 and check that a NoCD run never walks the n-bit node mask for its
 ackers.  The last tests pin the draws that come straight off each node's
 stream, and that a node state holds no bound method of its own.
@@ -39,7 +40,7 @@ from rumorcast import distributed
 from rumorcast.backbone import greedy_cds
 from rumorcast.central import Batch, Rumor
 from rumorcast.distributed import (DistributedError, NodeState, SimConfig,
-                                   SlotRecord, _data_half, _draws,
+                                   SlotRecord, _ackers, _data_half, _draws,
                                    init_states, node_rng, run_round_cd,
                                    run_round_nocd, slot_count)
 from rumorcast.fixtures import gen_ring_fixture
@@ -376,8 +377,10 @@ def test_data_half_takes_both_paths_as_the_reference_does():
     g, _, pool, ref, new = both_paths_states("cd")
     slot_of = {"A": 1, "B": 1, "D": 1, "E": 2, "F": 2}
     want_got, want_first, want_heard = ref_data_half(g, ref, slot_of, [], 1)
-    got, first, heard = _data_half(
-        g, new, slot_of, {u: new[u].pending[0] for u in slot_of}, [])
+    slots = []
+    first, heard = _data_half(
+        g, new, slot_of, {u: new[u].pending[0] for u in slot_of}, slots)
+    got = _ackers(g, slots, slot_of)
     assert first == want_first == {"J": 1, "P": 2}
     # the listeners that got data and sent none, as ids
     assert set(got).difference(slot_of) == want_got - set(slot_of)
@@ -629,6 +632,54 @@ def test_shortcut_cd_senders_hear_only_the_echoers_they_neighbor():
     same_nodes(g, pool, ref, new)
 
 
+def test_shortcut_quiet_cd_rounds_never_enter_the_error_fold(monkeypatch):
+    # the BOTH_PATHS senders with four slots per half-round, round after
+    # round until every batch is out, on several seeds: a round sorts its
+    # talkers by slot once for the data half and once more only for its
+    # error slots, so a round without echoers sorts once, and every round
+    # matches the reference
+    g = NetworkGraph.from_adjacency(BOTH_PATHS)
+    senders = sorted(BOTH_PATHS_ACKS)
+    pool = [Rumor(u, 0) for u in senders]
+    sorts = []
+    by_slot = distributed._by_slot
+
+    def counting(slot_of):
+        sorts.append(dict(slot_of))
+        return by_slot(slot_of)
+
+    monkeypatch.setattr(distributed, "_by_slot", counting)
+    echoed = Counter()
+    for seed in range(8):
+        cfg = SimConfig(slot_factor=1.0, mode="cd", seed=seed)
+        assert slot_count(g, cfg) == 4
+        ref = ref_states(g, cfg)
+        new = init_states(g, cfg)
+        for u, rumor in zip(senders, pool):
+            ref[u].pending = deque([Batch((rumor,))])
+            new[u].pending = deque([mask_of(pool, [rumor])])
+        for t in range(1, 200):
+            talkers = [u for u in senders if ref[u].pending]
+            if not talkers:
+                break
+            sorts.clear()
+            want = ref_round_cd(g, ref, talkers, cfg, round_index=t)
+            got = run_round_cd(g, new, talkers, cfg, round_index=t)
+            assert ([r.to_json() for r in got.records]
+                    == [r.to_json() for r in want.records])
+            assert got.succeeded == want.succeeded
+            assert got.control_messages == want.control_messages
+            assert got.collisions_heard == want.collisions_heard
+            same_nodes(g, pool, ref, new)
+            loud = got.control_messages > 0
+            assert len(sorts) == 1 + loud
+            assert all(s > 4 for error_slots in sorts[1:]
+                       for s in error_slots.values())
+            echoed[loud] += 1
+        assert not any(new[u].pending for u in senders)
+    assert echoed[True] and echoed[False]
+
+
 def someone_echoes(draw, g, ref, eligible, half):
     # two or more talkers that jam a listener which sends no data, so it
     # echoes
@@ -652,6 +703,62 @@ def test_shortcut_cd_rounds_with_echoers_match_the_reference(instance, data):
     assume(logs)
     for log in logs:
         assert log.control_messages > 0
+
+
+def fixed_nocd_round(adjacency, addressed):
+    """One NoCD round of one slot per half-round, so every sender talks in
+    slot 1 and every acker acks in slot 2; each sender sends its own
+    rumor to its ``addressed`` list.  Checked against the reference."""
+    g = NetworkGraph.from_adjacency(adjacency)
+    cfg = SimConfig(slot_factor=0.25, mode="nocd", seed=2)
+    assert slot_count(g, cfg) == 1
+    pool = [Rumor(u, 0) for u in sorted(addressed)]
+    ref = ref_states(g, cfg)
+    new = init_states(g, cfg)
+    for u, rumor in zip(sorted(addressed), pool):
+        ref[u].pending = deque([Batch((rumor,))])
+        new[u].pending = deque([mask_of(pool, [rumor])])
+        ref[u].awaiting_ack = set(addressed[u])
+        new[u].awaiting_ack = set(addressed[u])
+    want = ref_round_nocd(g, ref, addressed, cfg)
+    got = run_round_nocd(g, new, addressed, cfg)
+    assert ([r.to_json() for r in got.records]
+            == [r.to_json() for r in want.records])
+    assert got.succeeded == want.succeeded
+    assert got.collisions_heard == want.collisions_heard
+    same_nodes(g, pool, ref, new)
+    assert len(set(got.acks.values())) == 1
+    return got, {r.transmitter: r for r in got.records if r.kind == "ack"}
+
+
+def test_shortcut_nocd_acker_passes_a_non_rival_before_its_rival():
+    # "s" addresses "v" and "t" addresses "n"; "n", "r" and "v" all ack in
+    # slot 2, in that order.  For "v" at "s", "n" is no rival (it neither
+    # neighbors "v" nor reaches "s") and "r" is one (it reaches "s"), so
+    # the scan must pass "n" and go on to "r"; "n" lands at "t"
+    log, acks = fixed_nocd_round(
+        {"n": ["t"], "r": ["s"], "s": ["r", "v"], "t": ["n"], "v": ["s"]},
+        {"s": {"v"}, "t": {"n"}})
+    assert list(acks) == ["n", "r", "v"]
+    assert (acks["v"].receivers_ok, acks["v"].receivers_collided) == (
+        (), ("s",))
+    assert (acks["n"].receivers_ok, acks["n"].receivers_collided) == (
+        ("t",), ())
+    assert log.succeeded == {"t"}
+    assert log.collisions_heard == 1
+
+
+def test_shortcut_nocd_acks_shared_only_with_non_rivals_land():
+    # three sender-listener pairs far apart: all three acks share slot 2,
+    # but no sharer neighbors another acker or reaches its sender
+    log, acks = fixed_nocd_round(
+        {"m": ["w"], "n": ["t"], "s": ["v"], "t": ["n"], "v": ["s"],
+         "w": ["m"]},
+        {"s": {"v"}, "t": {"n"}, "w": {"m"}})
+    assert {v: r.receivers_ok for v, r in acks.items()} == {
+        "m": ("w",), "n": ("t",), "v": ("s",)}
+    assert log.succeeded == {"s", "t", "w"}
+    assert log.collisions_heard == 0
 
 
 @pytest.mark.parametrize("seeded_first", [False, True])
