@@ -99,11 +99,6 @@ class ClusterAssignment:
     leaders: Mapping[int, int | str]
 
 
-def _require_symmetric(g: NetworkGraph, what: str) -> None:
-    if not g.symmetric:
-        raise ModelError(f"{what} requires a symmetric network")
-
-
 def _member_walk(g: NetworkGraph, group: Container, root: int | str) -> dict:
     """Breadth-first parent links from ``root`` (parent None) over the
     subgraph ``group`` induces, keyed in visit order; members the walk
@@ -209,9 +204,9 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
     so every stored key is at least as good as the true one, and a popped
     key that survives recomputation unchanged (gain, kind and pick) is the
     very pick a full rescan would make, ties included.  The connectivity
-    test behind it is cached on the graph.
+    test behind it is cached on the graph, and it raises ModelError on a
+    one-way link.
     """
-    _require_symmetric(g, "greedy_cds")
     if not is_strongly_connected(g):
         raise DisconnectedError("greedy_cds needs a connected network")
     ids = g.node_ids
@@ -290,9 +285,8 @@ def brute_force_mcds(g: NetworkGraph) -> Backbone:
 
     Checks candidate sets in increasing size and lexicographic order, so the
     result is the lexicographically smallest optimum.  Limited to networks
-    of at most BRUTE_FORCE_NODE_LIMIT nodes.
+    of at most BRUTE_FORCE_NODE_LIMIT nodes, symmetric and connected.
     """
-    _require_symmetric(g, "brute_force_mcds")
     ids = g.node_ids
     n = len(ids)
     if n > BRUTE_FORCE_NODE_LIMIT:
@@ -326,7 +320,9 @@ def dfs_cluster(g: NetworkGraph, members: Sequence) -> ClusterAssignment:
     at tree depth h lands in band h // diameter(network); each band's leader
     is its smallest member.
     """
-    _require_symmetric(g, "dfs_cluster")
+    # checked first, or a one-way link could fail the DFS's connectivity test
+    if not g.symmetric:
+        raise ModelError("dfs_cluster requires a symmetric network")
     group = set(members)
     if not group:
         raise BackboneError("cannot cluster an empty member set")
@@ -335,8 +331,7 @@ def dfs_cluster(g: NetworkGraph, members: Sequence) -> ClusterAssignment:
     stack = [root]
     while stack:
         u = stack.pop()
-        for v in sorted((w for w in g.adjacency[u] if w in group),
-                        reverse=True):
+        for v in reversed([w for w in g.adjacency[u] if w in group]):
             if v not in depth_of:
                 depth_of[v] = depth_of[u] + 1
                 stack.append(v)
@@ -371,7 +366,6 @@ def bounded_diameter_cds(g: NetworkGraph,
     so a node's first discoverer is its predecessor on that path; climbing
     the tree's parent links from a leader reads the path backwards.
     """
-    _require_symmetric(g, "bounded_diameter_cds")
     if base is None:
         base = greedy_cds(g)
     clusters = dfs_cluster(g, base.members)

@@ -102,36 +102,31 @@ def pick_sources(g: NetworkGraph, count: int) -> list:
 
     Starting from an endpoint of a longest shortest path keeps the graph
     diameter a valid floor on any gossip makespan; the rest are chosen by
-    farthest-point insertion with id tie-breaks.  The first pick is the
-    smallest id whose BFS reaches farthest; the scan holds one BFS map at
-    a time.  On a connected symmetric graph it stops at the first node
-    whose eccentricity equals the diameter and skips nodes whose
-    eccentricity bound from earlier passes is below it.  Insertion keeps
-    each node's distance to its nearest pick, so memory stays linear in
-    the node count.
+    farthest-point insertion with id tie-breaks.  The graph must be
+    symmetric and connected, as ``diameter`` requires.  The first pick is
+    the smallest id whose eccentricity equals the diameter: the scan holds
+    one BFS map at a time, stops at that node and skips nodes whose
+    eccentricity bound from earlier passes is below the diameter.
+    Insertion keeps each node's distance to its nearest pick, so memory
+    stays linear in the node count.
     """
     ids = g.node_ids
     if not 1 <= count <= len(ids):
         raise FixtureError(f"need 1..{len(ids)} sources, got {count}")
-    target = diameter(g) if g.symmetric and is_strongly_connected(g) else None
-    # there ecc(v) <= d(v, u) + ecc(u), so a node whose bound falls below
-    # the diameter cannot be the first pick and needs no BFS
-    bound: dict = {}
-    reach, first, from_first = -1, None, {}
-    for u in ids:
-        if target is not None and bound.get(u, target) < target:
+    target = diameter(g)
+    # ecc(v) <= d(v, u) + ecc(u), so a node whose bound falls below the
+    # diameter cannot be the first pick and needs no BFS
+    bound = dict.fromkeys(ids, target)
+    for first in ids:
+        if bound[first] < target:
             continue
-        dist = bfs_distances(g, u)
-        far = max(dist.values())
-        if far > reach:
-            reach, first, from_first = far, u, dist
-            if far == target:
-                break
-        if target is not None:
-            for v, d in dist.items():
-                bound[v] = min(bound.get(v, target), d + far)
+        gap = bfs_distances(g, first)
+        far = max(gap.values())
+        if far == target:
+            break
+        for v, d in gap.items():
+            bound[v] = min(bound[v], d + far)
     chosen, taken = [first], {first}
-    gap = {u: from_first.get(u, 0) for u in ids}
     while len(chosen) < count:
         pick = min((u for u in ids if u not in taken),
                    key=lambda u: (-gap[u], str(u)))
@@ -139,5 +134,5 @@ def pick_sources(g: NetworkGraph, count: int) -> list:
         taken.add(pick)
         dist = bfs_distances(g, pick)
         for u in ids:
-            gap[u] = min(gap[u], dist.get(u, 0))
+            gap[u] = min(gap[u], dist[u])
     return chosen

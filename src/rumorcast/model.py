@@ -12,6 +12,11 @@ that reaches it, and it receives cleanly only when it hears exactly one.
 ``jammed`` gives, as one node mask (bit i for ``node_ids[i]``), the
 listeners that hear two or more, from the reach masks cached on the graph;
 the centralized simulator and the slot protocols both read it.
+
+Every backbone needs two-way links, so connectivity and the diameter are
+defined on symmetric graphs only and raise ModelError on a one-way link.
+``bfs_distances`` and reception follow links in their own direction and
+take any graph.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ def _link_blocked(a: NodeSpec, b: NodeSpec, obstacles: Sequence[Obstacle]) -> bo
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """A directed reachability graph over radio nodes.
+    """A reachability graph over radio nodes; links may be one-way.
 
     ``adjacency`` maps each node id to its out-neighbors sorted by id, and
     ``node_ids`` is the ids sorted: node order is id order throughout.
@@ -109,7 +114,7 @@ class NetworkGraph:
     symmetric when every in-list equals the node's out-tuple.
 
     A graph is immutable after construction: ``node_ids``, ``symmetric``,
-    ``max_degree``, the reach masks, strong connectivity and the diameter
+    ``max_degree``, the reach masks, connectivity and the diameter
     are computed at most once per graph and cached on it, as are the
     greedy backbone (``backbone.greedy_cds``) and the latest distributed
     run's checked plan and stages (``distributed._prepare``).
@@ -157,18 +162,23 @@ class NetworkGraph:
 
     @cached_property
     def _strongly_connected(self) -> bool:
+        if not self.symmetric:
+            raise ModelError("connectivity and diameter need a symmetric "
+                             "network (two-way links)")
         ids = self.node_ids
-        sweep = ids[:1] if self.symmetric else ids
-        return all(len(bfs_distances(self, u)) == len(ids) for u in sweep)
+        return not ids or len(bfs_distances(self, ids[0])) == len(ids)
 
     @cached_property
     def _diameter(self) -> int:
-        if not self.node_ids:
+        ids = self.node_ids
+        if not ids:
             raise ModelError("diameter of an empty graph")
-        if self.symmetric and is_strongly_connected(self):
-            return _ifub_diameter(self)
-        # directed, or disconnected: then the first BFS names the missing pair
-        return _all_pairs_diameter(self)
+        if not is_strongly_connected(self):
+            reached = bfs_distances(self, ids[0])
+            missing = next(v for v in ids if v not in reached)
+            raise DisconnectedError(f"graph is not strongly connected: "
+                                    f"no path {ids[0]!r} -> {missing!r}")
+        return _ifub_diameter(self)
 
     @classmethod
     def from_adjacency(cls, adjacency: Mapping[int | str, Iterable[int | str]],
@@ -298,7 +308,8 @@ def _grid(records: Sequence[tuple], max_reach: float) -> dict:
 
 
 def bfs_distances(g: NetworkGraph, src: int | str) -> dict[int | str, int]:
-    """Directed hop counts from src to every reachable node."""
+    """Hop counts from src to every node it reaches, following each link
+    in its own direction, keyed in visit order."""
     adj = g.adjacency
     dist = {src: 0}
     frontier = [src]
@@ -316,20 +327,21 @@ def bfs_distances(g: NetworkGraph, src: int | str) -> dict[int | str, int]:
 
 
 def diameter(g: NetworkGraph) -> int:
-    """Largest finite hop distance over all ordered node pairs.
+    """Largest hop distance over all node pairs of a symmetric graph.
 
-    Raises DisconnectedError naming an unreachable pair if one exists.
-    A single-node graph has diameter 0.  The result is cached on the graph.
+    Raises ModelError on a one-way link or an empty graph, and
+    DisconnectedError, naming the smallest id and the smallest id its BFS
+    misses, on a disconnected one.  A single-node graph has diameter 0.
+    The result is cached on the graph.
 
-    A connected symmetric graph uses iFUB (Crescenzi, Grossi, Habib, Lanzi,
-    Marino, TCS 2013): a 2-sweep from the max-degree node gives a lower
-    bound and a path whose midpoint roots one more BFS; the eccentricities
-    of that BFS's deepest levels are then taken, level by level, until the
-    lower bound reaches twice the next level's depth, an upper bound on
-    every pair left.  Typical unit-disk graphs need tens of BFS passes
-    instead of one per node.  When the midpoint reaches every node in one
-    hop the diameter is 1 on a clique and 2 otherwise, with no further
-    BFS.  Directed graphs run one BFS per node.
+    iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, TCS 2013): a 2-sweep
+    from the max-degree node gives a lower bound and a path whose midpoint
+    roots one more BFS; the eccentricities of that BFS's deepest levels
+    are then taken, level by level, until the lower bound reaches twice
+    the next level's depth, an upper bound on every pair left.  Typical
+    unit-disk graphs need tens of BFS passes instead of one per node.
+    When the midpoint reaches every node in one hop the diameter is 1 on a
+    clique and 2 otherwise, with no further BFS.
     """
     return g._diameter
 
@@ -364,24 +376,11 @@ def _ifub_diameter(g: NetworkGraph) -> int:
     return lower
 
 
-def _all_pairs_diameter(g: NetworkGraph) -> int:
-    ids = g.node_ids
-    best = 0
-    for u in ids:
-        dist = bfs_distances(g, u)
-        if len(dist) != len(ids):
-            missing = next(v for v in ids if v not in dist)
-            raise DisconnectedError(
-                f"graph is not strongly connected: no path {u!r} -> {missing!r}")
-        best = max(best, max(dist.values()))
-    return best
-
-
 def is_strongly_connected(g: NetworkGraph) -> bool:
     """True when every node reaches every other one (an empty graph too).
 
-    A symmetric graph needs one BFS from its smallest id; a directed graph
-    runs one BFS per node.  The answer is cached on the graph.
+    Raises ModelError on a one-way link.  One BFS from the smallest id
+    decides it, and the answer is cached on the graph.
     """
     return g._strongly_connected
 

@@ -249,7 +249,8 @@ def test_bfs_distances_match_the_reference_in_key_order(g):
         assert list(got) == list(want)
 
 
-@given(any_graphs(), st.integers(min_value=1, max_value=12))
+@given(any_graphs(symmetric=True).map(connect_components),
+       st.integers(min_value=1, max_value=12))
 @settings(max_examples=200, deadline=None)
 def test_pick_sources_matches_all_pairs_pick(g, count):
     count = min(count, len(g.node_ids))

@@ -1,11 +1,13 @@
 """Graph queries checked against networkx on generated graphs.
 
 networkx is not a dependency of the package; these tests are skipped
-where it is not installed.  Each generated graph is checked three ways:
-``diameter`` equals ``nx.diameter`` or raises ``DisconnectedError``
-exactly when the graph is not strongly connected, ``is_strongly_connected``
-agrees with networkx, and on connected symmetric graphs the greedy
-backbone dominates the graph and induces a connected subgraph.
+where it is not installed.  On a graph with a one-way link both
+``diameter`` and ``is_strongly_connected`` raise ``ModelError``.  Each
+symmetric graph is checked three ways: ``diameter`` equals ``nx.diameter``
+or raises ``DisconnectedError`` exactly when the graph is not connected,
+``is_strongly_connected`` agrees with ``nx.is_connected``, and on
+connected graphs the greedy backbone dominates the graph and induces a
+connected subgraph.
 """
 
 from __future__ import annotations
@@ -19,29 +21,34 @@ from hypothesis import strategies as st
 nx = pytest.importorskip("networkx")
 
 from rumorcast.backbone import greedy_cds  # noqa: E402
-from rumorcast.model import (DisconnectedError, NetworkGraph,  # noqa: E402
-                             NodeSpec, build_network, diameter,
+from rumorcast.model import (DisconnectedError, ModelError,  # noqa: E402
+                             NetworkGraph, NodeSpec, build_network, diameter,
                              is_strongly_connected)
 
 
 def to_networkx(g: NetworkGraph):
-    out = nx.Graph() if g.symmetric else nx.DiGraph()
+    out = nx.Graph()
     out.add_nodes_from(g.node_ids)
     out.add_edges_from((u, v) for u in g.node_ids for v in g.adjacency[u])
     return out
 
 
 def check_against_networkx(g: NetworkGraph) -> None:
+    if not g.symmetric:
+        with pytest.raises(ModelError, match="symmetric"):
+            is_strongly_connected(g)
+        with pytest.raises(ModelError, match="symmetric"):
+            diameter(g)
+        return
     ref = to_networkx(g)
-    connected = (nx.is_connected(ref) if not ref.is_directed()
-                 else nx.is_strongly_connected(ref))
+    connected = nx.is_connected(ref)
     assert is_strongly_connected(g) == connected
     if connected:
         assert diameter(g) == nx.diameter(ref)
     else:
         with pytest.raises(DisconnectedError):
             diameter(g)
-    if connected and g.symmetric:
+    if connected:
         members = greedy_cds(g).members
         assert nx.is_dominating_set(ref, members)
         assert nx.is_connected(ref.subgraph(members))
