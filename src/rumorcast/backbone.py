@@ -355,10 +355,13 @@ def bounded_diameter_cds(g: NetworkGraph,
 
     Clusters the base members into diameter-deep DFS bands, then splices the
     lexicographically smallest shortest network paths from each band leader
-    back to the base root.  The result keeps every base member, is still a
-    connected dominating set, and has at most 3x the base size; its induced
-    diameter is bounded by a small multiple of the network diameter because
-    every member sits within one band of a leader wired straight to the root.
+    back to the smallest base member, which roots the result; that is the
+    base's own root only when the base is rooted at its smallest member, as
+    greedy and oracle bases are.  The result keeps every base member, is
+    still a connected dominating set, and has at most 3x the base size; its
+    induced diameter is bounded by a small multiple of the network diameter
+    because every member sits within one band of a leader wired straight to
+    the root.
 
     All those paths come from one breadth-first tree of the whole network
     from the root.  A FIFO walk over sorted neighbor tuples visits each

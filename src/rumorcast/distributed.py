@@ -42,7 +42,8 @@ A round pays only for the contention that happens, and a CD round
 without echoers does no error-slot fold: ``_slot``, ``_data_half``,
 ``_ackers`` and the round routines state, beside their code, the
 shortcuts they take and why each gives what the general rule gives.
-Only the units a stage arms get a batch queue and an address set.
+Only the units a stage arms get a batch queue, and only in NoCD, whose
+rounds alone read it, an address set.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class NodeState:
     ``held`` is the mask of the rumors the node holds, ``pending`` queues
     the masks of the batches still to send, and ``awaiting_ack`` the
     listeners that must still confirm the front one.  Both start empty
-    and read-only; a run gives only the units it arms a deque and a set.
+    and read-only; a run gives the units it arms a deque, and in NoCD a
+    set; a CD run leaves every ``awaiting_ack`` the shared empty one.
     ``rng_stream`` is ``node_rng(seed, node)``, built on the node's first
     draw, and ``_getrandbits`` is that stream's own bound ``getrandbits``,
     None until then: the stream's method, not the state's, so a state
@@ -222,7 +224,14 @@ class RoundLog:
 
 @dataclass(frozen=True)
 class DistMetrics:
-    """Aggregate outcome of a distributed run."""
+    """Aggregate outcome of a distributed run.
+
+    ``retransmissions_per_node`` lists every unit of every stage the run
+    armed: a failed round counts against a sender only when another
+    round follows it.  A run that hits ``max_rounds`` stops at a stage it
+    has armed, so when a stage ends at the cap, the next stage's units
+    are listed too, with 0.
+    """
 
     rounds: int
     data_messages: int
@@ -559,45 +568,6 @@ def _prepare(g: NetworkGraph, bb: Backbone, sources: Sequence[int | str],
     return prepared
 
 
-def _run_stage(g: NetworkGraph, states: Mapping, stage: list, run_round,
-               cfg: SimConfig, rounds: int, trace: IO | None) -> tuple:
-    """Arm one stage's units and run rounds until all are done or round
-    ``cfg.max_rounds`` has run, numbering them on from ``rounds``.
-
-    Returns the rounds run, the data and control messages, the collisions
-    heard, each unit's retransmissions and whether the round cap cut the
-    stage short.
-    """
-    audience_of = {}
-    for u, batches, audience in stage:
-        states[u].pending = deque(batches)
-        states[u].awaiting_ack = set(audience)
-        audience_of[u] = audience
-    retx = dict.fromkeys(audience_of, 0)
-    active = set(audience_of)  # every unit has a batch to send
-    left = cfg.max_rounds - rounds
-    used = data_messages = control_messages = collisions_heard = 0
-    while active and used < left:
-        used += 1
-        log = run_round(g, states, active, cfg, round_index=rounds + used)
-        if trace is not None:
-            trace.writelines(rec.to_json() + "\n" for rec in log.records)
-        data_messages += log.data_messages
-        control_messages += log.control_messages
-        collisions_heard += log.collisions_heard
-        if used < left:  # a failed sender sends again
-            for u in active:
-                if u not in log.succeeded:
-                    retx[u] += 1
-        for u in log.succeeded:
-            if states[u].pending:
-                states[u].awaiting_ack = set(audience_of[u])
-            else:
-                active.discard(u)
-    return (used, data_messages, control_messages, collisions_heard, retx,
-            bool(active))
-
-
 def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
                                    sources: Sequence[int | str],
                                    compression: int, cfg: SimConfig,
@@ -619,19 +589,36 @@ def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,
     for i, r in enumerate(plan.rumors):  # bit i is plan.rumors[i]
         states[r.source].held |= 1 << i
 
-    run_round = run_round_cd if cfg.mode == "cd" else run_round_nocd
+    nocd = cfg.mode == "nocd"  # only NoCD rounds read the address sets
+    run_round = run_round_nocd if nocd else run_round_cd
     rounds = data_messages = control_messages = collisions_heard = 0
     retx: dict = {}
     for stage in stages:
-        used, data, control, heard, stage_retx, cut = _run_stage(
-            g, states, stage, run_round, cfg, rounds, trace)
-        rounds += used
-        data_messages += data
-        control_messages += control
-        collisions_heard += heard
-        for u, n in stage_retx.items():
-            retx[u] = retx.get(u, 0) + n
-        if cut:
+        active = {}  # each armed unit -> its audience
+        for u, batches, audience in stage:
+            states[u].pending = deque(batches)
+            if nocd:
+                states[u].awaiting_ack = set(audience)
+            active[u] = audience
+            retx.setdefault(u, 0)
+        while active and rounds < cfg.max_rounds:
+            rounds += 1
+            log = run_round(g, states, active, cfg, round_index=rounds)
+            if trace is not None:
+                trace.writelines(rec.to_json() + "\n" for rec in log.records)
+            data_messages += log.data_messages
+            control_messages += log.control_messages
+            collisions_heard += log.collisions_heard
+            if rounds < cfg.max_rounds:  # a failed sender sends again
+                for u in active:
+                    if u not in log.succeeded:
+                        retx[u] += 1
+            for u in log.succeeded:
+                if not states[u].pending:
+                    del active[u]
+                elif nocd:
+                    states[u].awaiting_ack = set(active[u])
+        if active:  # the round cap cut this stage short
             break
 
     everything = (1 << len(plan.rumors)) - 1

@@ -431,6 +431,19 @@ def test_multibroadcast_respects_max_rounds_without_raising():
     assert not metrics.delivered_everything
 
 
+# mode -> seed -> retransmissions_per_node at caps 1, 2 and 3 on the path
+# a-f: stage 1 arms a and f, then e forwards to d, then d to c
+_AFE = {"a": 0, "f": 0, "e": 0}
+_AFED = {**_AFE, "d": 0}
+_AFEDC = {**_AFED, "c": 0}
+CAPPED_RETX = {
+    "cd": [(_AFE, _AFED, _AFEDC)] * 5,
+    "nocd": [(_AFE, _AFED, _AFEDC), (_AFE, _AFED, _AFED),
+             (_AFE, _AFED, _AFEDC), (_AFE, _AFE, {**_AFE, "e": 1}),
+             (_AFE, _AFE, {**_AFE, "e": 1, "d": 0})],
+}
+
+
 @pytest.mark.parametrize("mode", ["cd", "nocd"])
 def test_undelivered_at_the_round_cap_names_each_missing_rumor(mode):
     # path a-b-c-d-e-f, backbone b-c-d-e rooted at b.  Round 1 hands a's
@@ -451,6 +464,13 @@ def test_undelivered_at_the_round_cap_names_each_missing_rumor(mode):
         assert dm.undelivered == {
             ("a", from_f), ("b", from_f), ("c", from_f),
             ("c", from_a), ("d", from_a), ("e", from_a), ("f", from_a)}
+        # a cap at a stage boundary still lists the units of the stage it
+        # armed but gave no round, with 0
+        for cap, want in zip((1, 2, 3), CAPPED_RETX[mode][seed]):
+            cfg = SimConfig(slot_factor=1.0, mode=mode, seed=seed,
+                            max_rounds=cap)
+            dm = run_distributed_multibroadcast(g, bb, ["f", "a"], 1, cfg)
+            assert dm.retransmissions_per_node == want, (seed, cap)
 
 
 @pytest.mark.parametrize("mode", ["cd", "nocd"])

@@ -2,7 +2,8 @@
 
 Each digest pins, byte for byte, one output on the acceptance fixtures:
 the centralized schedule's JSON, and for each distributed mode the JSONL
-slot traces and the metrics of seeds 0-2.  A change that alters any
+slot traces and the metrics of seeds 0-2, uncapped and, on the c2
+greedy cases, cut by ``max_rounds`` 3 and 6.  A change that alters any
 schedule, trace or metric here has to update the digests on purpose.
 """
 
@@ -16,7 +17,9 @@ import pytest
 
 from rumorcast.backbone import bounded_diameter_cds, greedy_cds
 from rumorcast.central import multibroadcast_schedule, schedule_to_dict
-from rumorcast.distributed import SimConfig, run_distributed_multibroadcast
+from rumorcast import distributed
+from rumorcast.distributed import (SimConfig, init_states,
+                                   run_distributed_multibroadcast)
 from rumorcast.fixtures import (gen_random_udg, gen_ring_fixture,
                                 gen_star_path, pick_sources)
 
@@ -188,21 +191,29 @@ def _case(name: str):
     return g, BACKBONES[backbone](g), sources, int(c[1:])
 
 
-def digests(name: str) -> tuple[str, ...]:
-    g, bb, sources, c = _case(name)
-    sched = multibroadcast_schedule(g, bb, sources, c)
-    out = [_sha([json.dumps(schedule_to_dict(sched), sort_keys=True)])]
+def _transport_digests(g, bb, sources, c: int, **cap) -> list[str]:
+    """Per mode, the digests of the seeds' traces and of their metrics;
+    ``cap`` may set ``max_rounds``."""
+    out = []
     for mode in ("cd", "nocd"):
         traces, metrics = [], []
         for seed in SEEDS:
             buf = io.StringIO()
-            cfg = SimConfig(slot_factor=SLOT_FACTOR, mode=mode, seed=seed)
+            cfg = SimConfig(slot_factor=SLOT_FACTOR, mode=mode, seed=seed,
+                            **cap)
             dm = run_distributed_multibroadcast(g, bb, sources, c, cfg,
                                                 trace=buf)
             traces.append(buf.getvalue())
             metrics.append(json.dumps(dm.to_dict(), sort_keys=True))
         out += [_sha(traces), _sha(metrics)]
-    return tuple(out)
+    return out
+
+
+def digests(name: str) -> tuple[str, ...]:
+    g, bb, sources, c = _case(name)
+    sched = multibroadcast_schedule(g, bb, sources, c)
+    out = [_sha([json.dumps(schedule_to_dict(sched), sort_keys=True)])]
+    return tuple(out + _transport_digests(g, bb, sources, c))
 
 
 CASES = [f"{f}/{b}/c{c}" for f in FIXTURES for b in BACKBONES
@@ -212,6 +223,80 @@ CASES = [f"{f}/{b}/c{c}" for f in FIXTURES for b in BACKBONES
 @pytest.mark.parametrize("name", CASES)
 def test_outputs_match_golden(name):
     assert digests(name) == GOLDEN[name]
+
+
+# case/r<max_rounds> -> (cd traces, cd metrics, nocd traces, nocd metrics).
+# Every run here needs at least 7 rounds uncapped, so both caps cut each
+# one
+CAPPED = {
+    "star-path/greedy/c2/r3": (
+        "760770339ea40ee3f1c1e93d2413d9c049c65930e4dc02e0cad9b6342c8e5180",
+        "ab3aa5c58f7fe29e48b53f611bd34a06ea62631e3683ead00df2042084a3f949",
+        "02051ca5a48327652d8ca591c97cc5675598cac9d802aa6135aba2254088acf4",
+        "b8e967b0f7856e65fd9c16c683864fe102d1bcfde87fcf86910d8215479db195",
+    ),
+    "star-path/greedy/c2/r6": (
+        "6d74f83667c195e76da705725f8aed4e919ad1abdf363accd3b68640672f669e",
+        "5f707f638835f6b51c4573a0c7a9cbefd805b962e766f1f634416ff528f9ed0d",
+        "6c82d4ce15858efd09ab91f82d146144b8e406a2a6fc3f14abdc3dabd67a4b16",
+        "6b064ae6a99279bd841e14f16a504b84ea0ea6b97cd080756aed269410c29a6b",
+    ),
+    "ring/greedy/c2/r3": (
+        "a6e61eaf7bef10b90eef6b4ae82dc8b3b879b7d4a6a644cea688035db1857097",
+        "48b0ad51d1d0cef6effdbe4683eb0d723a044ac973cd6b198c4b7d334a361057",
+        "7a217f239200608333217857f0612bef03d8b126ea89e1fc63d6c91f26f35209",
+        "b64488b62b0edfd463c68c44c766732ba5581630b60969722ade2b499d64fd2f",
+    ),
+    "ring/greedy/c2/r6": (
+        "54329429d583f387ae2ae2794dfdc804fe19d2a7d2c835e56f9cf0947a55862a",
+        "f645ecea90c45f0a6786d3d8ba2f0a55f40040cb9b1fbe2dc8751a71074b4756",
+        "17c174ddff4f946fa3f7b2b6a74c90116db5b8b29afc80494219c8a6b67552b7",
+        "ed59f47c334bc7996e701661a6454666e67e0c900d85ccd35815dc555bef9823",
+    ),
+    "udg/greedy/c2/r3": (
+        "828e14c5bbbd508f4730351e94aea2d531f7ce50407426598aba0d12a039194a",
+        "3687b19cfe29c1666e1c710e8637f2783013c81277dd21929de23febbae591a4",
+        "cceefd72e1e287f3ce05d643eebb76264ddb5f666a04defe8f99c574f8a798ac",
+        "0bcf1354ff491535900cc17a0aac020652f259cd2f9ff804b38326e03e9ddc04",
+    ),
+    "udg/greedy/c2/r6": (
+        "52cbb145d12f9834a3e1e7cf07f90cef80c4872bc7a6d576ea4af37153c65c4e",
+        "5286f92dbbb330e08396ef750600dfd67886c2f3f05c611e54b3a00434c1383e",
+        "3e890c86578c9fbf39a37a2a8ec822778621708a033fa59f287a760bcc6f38dd",
+        "bd4afcb63659ae4ea1fc301cfe3303f2c97601e1713655ae0a1224babb40412f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_capped_outputs_match_golden(name):
+    case, cap = name.rsplit("/r", 1)
+    g, bb, sources, c = _case(case)
+    assert tuple(_transport_digests(g, bb, sources, c,
+                                    max_rounds=int(cap))) == CAPPED[name]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_cd_runs_give_no_unit_an_address_set(monkeypatch, fixture):
+    """No CD round reads ``awaiting_ack``, so a CD run arms none: every
+    state keeps the shared empty frozenset, armed units included."""
+    seen = []
+
+    def recording(g, cfg):
+        seen.append(init_states(g, cfg))
+        return seen[-1]
+
+    monkeypatch.setattr(distributed, "init_states", recording)
+    g, bb, sources, c = _case(f"{fixture}/greedy/c2")
+    for seed in SEEDS:
+        cfg = SimConfig(slot_factor=SLOT_FACTOR, mode="cd", seed=seed)
+        run_distributed_multibroadcast(g, bb, sources, c, cfg)
+    assert len(seen) == len(SEEDS)
+    for states in seen:
+        assert any(state.pending != () for state in states.values())
+        for state in states.values():
+            assert type(state.awaiting_ack) is frozenset
+            assert not state.awaiting_ack
 
 
 def test_udg_case_prunes_distribution_senders():
