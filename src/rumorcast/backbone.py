@@ -174,12 +174,16 @@ def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
         raise BackboneError("parent links contain a cycle")
 
 
+def _kept(g: NetworkGraph, key: str, build) -> Backbone:
+    """``build(g)``, kept in the graph's dict; a raise keeps nothing."""
+    if key not in vars(g):
+        vars(g)[key] = build(g)
+    return vars(g)[key]
+
+
 def greedy_cds(g: NetworkGraph) -> Backbone:
-    """``_greedy_cds(g)``, built once per graph and kept in the graph's
-    instance dict, where its diameter and connectivity are cached too."""
-    if "_greedy_cds" not in vars(g):
-        vars(g)["_greedy_cds"] = _greedy_cds(g)
-    return vars(g)["_greedy_cds"]
+    """``_greedy_cds(g)``, built once per graph."""
+    return _kept(g, "_greedy_cds", _greedy_cds)
 
 
 def _greedy_cds(g: NetworkGraph) -> Backbone:
@@ -191,21 +195,28 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
     adjacent pair, whichever newly covers the most uncovered nodes.  Ties
     prefer the single pick, then smaller ids.  The chosen set stays connected
     throughout, and its size is within a (2 + ln(max_degree)) factor of the
-    minimum for symmetric networks.
+    minimum for symmetric networks.  Two colour sets, ``white`` (uncovered)
+    and ``black`` (members), hold the state: Guha and Khuller's third colour,
+    a covered non-member, is in neither.
 
     Picks are found by lazy evaluation (Minoux's accelerated greedy): the
-    candidates of each node sit in a heap from the moment it turns gray,
-    keyed ``(-gain, kind, pick)``.  ``wdeg[u]`` counts u's white
-    (uncovered) neighbors; it drops by one over a node's neighbors when
-    that node leaves white, O(edges) in all, so a single pick's gain is its
-    count.  A pair (v, w) newly covers the white neighbors of v and of w,
-    so it is pushed with the upper bound ``wdeg[v] + wdeg[w]`` and
-    recounted exactly when popped.  Gains only fall as white nodes vanish,
-    so every stored key is at least as good as the true one, and a popped
-    key that survives recomputation unchanged (gain, kind and pick) is the
-    very pick a full rescan would make, ties included.  The connectivity
-    test behind it is cached on the graph, and it raises ModelError on a
-    one-way link.
+    candidates of each node sit in a heap from the moment it is covered,
+    keyed ``(-gain, kind, pick)``; a pick stays a candidate while its first
+    node is not black.  ``wdeg[u]`` counts u's white neighbors; it drops by
+    one over a node's neighbors when that node leaves white, O(edges) in
+    all, so a single pick's gain is its count.  A pair (v, w) is pushed with
+    the upper bound ``wdeg[v] + wdeg[w]`` and recounted exactly when popped.
+    Gains only fall as white nodes vanish, so every stored key is at least
+    as good as the true one, and a popped key that survives recomputation
+    unchanged (gain, kind and pick) is the very pick a full rescan would
+    make, ties included.  The connectivity test behind it is cached on the
+    graph, and it raises ModelError on a one-way link.
+
+    The heap is never empty while a node is white: on a connected graph some
+    white x has a non-white neighbor v, which is not black, as blackening
+    takes all white neighbors out of white.  v's single pick was pushed when
+    v was covered (x white then too), and every stale pop pushes it back
+    until v turns black or wdeg[v], which counts x, reaches 0.
     """
     if not is_strongly_connected(g):
         raise DisconnectedError("greedy_cds needs a connected network")
@@ -213,7 +224,6 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
     adj = g.adjacency
     white = set(ids)
     black: set = set()
-    gray: set = set()
     wdeg = {u: len(adj[u]) for u in ids}
     heap: list = []
 
@@ -223,21 +233,19 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
             wdeg[x] -= 1
 
     def blacken(u) -> list:
-        """Blacken u and return the nodes it turned from white to gray."""
+        """Blacken u and return the white neighbors it covered."""
         if u in white:
             leave_white(u)
-        gray.discard(u)
         black.add(u)
         fresh = [v for v in adj[u] if v in white]
         for v in fresh:
             leave_white(v)
-        gray.update(fresh)
         return fresh
 
     def current_key(kind: int, pick: tuple):
         """The pick's exact heap key, or None once it can never win."""
         v = pick[0]
-        if v not in gray:
+        if v in black:
             return None
         if kind == 0:
             return (-wdeg[v], 0, pick) if wdeg[v] else None
@@ -260,9 +268,6 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
 
     while white:
         while True:
-            if not heap:
-                raise DisconnectedError(
-                    "coverage stalled; network disconnected")
             top = heapq.heappop(heap)
             now = current_key(top[1], top[2])
             if now == top:
@@ -271,7 +276,7 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
                 heapq.heappush(heap, now)
         fresh = [v for u in top[2] for v in blacken(u)]
         for v in fresh:
-            if v in gray:
+            if v not in black:
                 push_candidates(v)
 
     members = tuple(sorted(black))
@@ -281,6 +286,11 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
 
 
 def brute_force_mcds(g: NetworkGraph) -> Backbone:
+    """``_brute_force_mcds(g)``, searched once per graph."""
+    return _kept(g, "_brute_force_mcds", _brute_force_mcds)
+
+
+def _brute_force_mcds(g: NetworkGraph) -> Backbone:
     """Exact minimum connected dominating set by exhaustive search.
 
     Checks candidate sets in increasing size and lexicographic order, so the

@@ -133,16 +133,12 @@ def bound_report(g: NetworkGraph, rumor_count: int,
 
     Uses the exact minimum connected dominating set when the network is
     small enough to enumerate, otherwise the greedy one, and flags which.
-    The greedy backbone and the diameter, the time floor, are both cached
-    on the graph.  On a one-node network the only node already holds every
-    rumor, so the message floor is 0.
+    Either set and the diameter, the time floor, are kept on the graph.
+    On a one-node network the only node already holds every rumor, so the
+    message floor is 0.
     """
-    if len(g.node_ids) <= BRUTE_FORCE_NODE_LIMIT:
-        mcds = brute_force_mcds(g)
-        exact = True
-    else:
-        mcds = greedy_cds(g)
-        exact = False
+    exact = len(g.node_ids) <= BRUTE_FORCE_NODE_LIMIT
+    mcds = brute_force_mcds(g) if exact else greedy_cds(g)
     message_lb = message_lower_bound(rumor_count, compression, mcds.size)
     message_formula = "messages>=max(k,ceil(k*(mcds-1)/compression))"
     if len(g.node_ids) == 1:

@@ -213,9 +213,13 @@ class RoundLog:
             for u in talking:
                 reached = [v for v in self.graph.adjacency[u]
                            if v not in talking]
-                ok = tuple(v for v in reached if not jam >> index[v] & 1)
-                bad = tuple(v for v in reached if jam >> index[v] & 1)
-                records.append(SlotRecord(t, s, u, kind, ok, bad))
+                ok, bad = reached, []
+                if jam and jam & self.graph.reach[u]:  # a neighbor is jammed
+                    ok = []
+                    for v in reached:
+                        (bad if jam >> index[v] & 1 else ok).append(v)
+                records.append(SlotRecord(t, s, u, kind, tuple(ok),
+                                          tuple(bad)))
         for v, s in self.acks.items():
             ok, bad = self.verdicts.get(v, ((), ()))
             records.append(SlotRecord(t, s, v, "ack", tuple(ok), tuple(bad)))

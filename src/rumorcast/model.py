@@ -116,8 +116,9 @@ class NetworkGraph:
     A graph is immutable after construction: ``node_ids``, ``symmetric``,
     ``max_degree``, the reach masks, connectivity and the diameter
     are computed at most once per graph and cached on it, as are the
-    greedy backbone (``backbone.greedy_cds``) and the latest distributed
-    run's checked plan and stages (``distributed._prepare``).
+    greedy and the oracle backbones (``backbone.greedy_cds`` and
+    ``brute_force_mcds``) and the latest distributed run's checked plan and
+    stages (``distributed._prepare``).
     """
 
     nodes: tuple[NodeSpec, ...]

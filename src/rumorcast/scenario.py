@@ -18,6 +18,8 @@ at run time.  The backbone is built once for all seeds, and the
 distributed checks, plan and stage masks once per (graph, backbone,
 sources, c), kept on the graph, so each seed only arms fresh node
 states and runs the rounds, whose data slots deliver by node masks.
+A seed's run cannot fail: the backbone comes from a builder, and the
+sources and the slot count were checked when the scenario was made.
 """
 
 from __future__ import annotations
@@ -254,64 +256,52 @@ class ExperimentReport:
                 "aggregates": self.aggregates()}
 
 
-def _centralized_outcome(sc: Scenario, bb: Backbone) -> tuple:
-    sched = multibroadcast_schedule(sc.network, bb, sc.sources,
-                                    sc.compression)
-    safe = make_collision_free(sc.network, sched)
-    metrics = simulate_schedule(sc.network, safe, interference=True)
-    undelivered = not metrics.holds_all(
-        Rumor(s, i) for i, s in enumerate(sc.sources))
-    violations = []
-    if metrics.collisions:
-        violations.append("interference survived the collision-free "
-                          "transform")
-    return (metrics.messages, metrics.makespan, metrics.collisions,
-            undelivered, violations)
-
-
-def _distributed_outcome(sc: Scenario, bb: Backbone, seed: int) -> tuple:
+def _measure(sc: Scenario, bb: Backbone, seed: int) -> tuple:
+    """One run's (messages, makespan, collisions, delivered, violations)."""
+    g = sc.network
+    if sc.mode == "centralized":
+        sched = multibroadcast_schedule(g, bb, sc.sources, sc.compression)
+        m = simulate_schedule(g, make_collision_free(g, sched),
+                              interference=True)
+        extra = []
+        if m.collisions:
+            extra.append("interference survived the collision-free transform")
+        delivered = m.holds_all(Rumor(s, i) for i, s in enumerate(sc.sources))
+        return m.messages, m.makespan, m.collisions, delivered, extra
     proto = "cd" if sc.mode == "distributed-cd" else "nocd"
-    cfg = replace(sc.cfg, mode=proto, seed=seed)
-    dm = run_distributed_multibroadcast(sc.network, bb, sc.sources,
-                                        sc.compression, cfg)
+    dm = run_distributed_multibroadcast(g, bb, sc.sources, sc.compression,
+                                        replace(sc.cfg, mode=proto, seed=seed))
     return (dm.data_messages, dm.rounds, dm.collisions_heard,
-            not dm.delivered_everything, [])
+            dm.delivered_everything, [])
 
 
 def run_experiment(scenario: Scenario,
                    seeds: Sequence[int]) -> ExperimentReport:
     """Run one scenario per seed and check the floor invariants.
 
-    The backbone and the floors are computed once for all seeds.
+    The backbone, the floors and a centralized run (no seed changes it) are
+    computed once, and only they can fail on a valid scenario, raising one
+    ScenarioError that names it; an oracle above its cap does.
     """
     seeds = list(seeds)
     if not seeds:
         raise ScenarioError("no seeds given")
     g = scenario.network
-    central = None
     try:
         bb = build_backbone(g, scenario.backbone_kind)
         report = bound_report(g, scenario.rumor_count, scenario.compression)
-        if scenario.mode == "centralized":
-            central = _centralized_outcome(scenario, bb)
+        central = (_measure(scenario, bb, seeds[0])
+                   if scenario.mode == "centralized" else None)
     except ValueError as err:
         raise ScenarioError(
             f"scenario {scenario.name!r}: {err}") from err
 
     outcomes = []
     for seed in seeds:
-        if central is not None:
-            messages, makespan, collisions, undelivered, extra = central
-        else:
-            try:
-                messages, makespan, collisions, undelivered, extra = \
-                    _distributed_outcome(scenario, bb, seed)
-            except ValueError as err:
-                raise ScenarioError(
-                    f"scenario {scenario.name!r} (seed {seed}): "
-                    f"{err}") from err
+        messages, makespan, collisions, delivered, extra = (
+            central or _measure(scenario, bb, seed))
         violations = list(extra)
-        if undelivered:
+        if not delivered:
             violations.append("some rumor was not delivered everywhere")
         if messages < report.message_lb:
             violations.append(

@@ -109,6 +109,16 @@ def test_brute_force_mcds_size_guard():
     g = cycle_graph(17)
     with pytest.raises(ModelError):
         brute_force_mcds(g)
+    # the cap raises on every call and keeps nothing on the graph
+    with pytest.raises(ModelError, match="capped at 16 nodes, got 17"):
+        brute_force_mcds(g)
+    assert "_brute_force_mcds" not in vars(g)
+
+
+def test_brute_force_mcds_rejects_a_disconnected_graph():
+    g = NetworkGraph.from_adjacency({0: [1], 1: [0], 2: [3], 3: [2]})
+    with pytest.raises(DisconnectedError, match="needs a connected network"):
+        brute_force_mcds(g)
 
 
 @st.composite
@@ -268,6 +278,11 @@ def test_cluster_rejects_disconnected_member_set():
     g = path_graph([0, 1, 2, 3, 4])
     with pytest.raises(BackboneError):
         dfs_cluster(g, [0, 4])
+
+
+def test_cluster_rejects_an_empty_member_set():
+    with pytest.raises(BackboneError, match="empty member set"):
+        dfs_cluster(path_graph([0, 1, 2]), [])
 
 
 @pytest.mark.parametrize("members, root, parent, message", [

@@ -175,6 +175,11 @@ def test_nocd_no_listeners_drains_immediately():
     assert expected_nocd_stats(0, 4, 2.0).rounds_to_drain == 0
 
 
+def test_nocd_stats_input_validation():
+    with pytest.raises(ValueError, match="degree cannot exceed max_degree"):
+        expected_nocd_stats(5, 4, 2.0)
+
+
 @given(st.integers(2, 40), st.floats(0.5, 6.0))
 @settings(max_examples=100)
 def test_nocd_drain_rounds_match_closed_form(degree, factor):

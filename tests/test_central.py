@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumorcast.model import NetworkGraph
+from rumorcast.model import ModelError, NetworkGraph
 from rumorcast.backbone import Backbone, brute_force_mcds, greedy_cds
 from rumorcast.central import (
     Batch,
@@ -167,6 +167,21 @@ def test_unreachable_source_is_rejected():
                   parent={"b": None, "c": "b"})
     with pytest.raises(Exception):
         multibroadcast_schedule(g, bb, ["a", "zz"], compression=1)
+
+
+def test_broadcast_from_an_unknown_source_is_rejected():
+    g, bb = path4()
+    with pytest.raises(ModelError, match="unknown source 'zz'"):
+        broadcast_schedule(g, bb, "zz")
+
+
+def test_source_with_no_member_in_its_reach_is_rejected():
+    # a one-way graph: 2 hears the member 0 but reaches nobody
+    g = NetworkGraph.from_adjacency({0: [1, 2], 1: [0], 2: []})
+    bb = Backbone(members=(0,), root=0, parent={0: None})
+    with pytest.raises(ScheduleError,
+                       match="source 2 has no backbone member in its reach"):
+        multibroadcast_schedule(g, bb, [1, 2], compression=1)
 
 
 # --- collision removal -----------------------------------------------------

@@ -12,8 +12,9 @@ from rumorcast.distributed import SimConfig, slot_count
 from rumorcast.fixtures import gen_ring_fixture, gen_star_path
 from rumorcast.model import NetworkGraph, network_to_dict
 from rumorcast.scenario import (RESULTS_HEADER, Scenario, ScenarioError,
-                                experiment_csv_rows, run_experiment,
-                                scenario_from_dict, scenario_to_dict)
+                                build_backbone, experiment_csv_rows,
+                                run_experiment, scenario_from_dict,
+                                scenario_to_dict)
 
 
 def star_scenario(mode="centralized", **kw):
@@ -151,6 +152,34 @@ def test_run_experiment_builds_the_greedy_backbone_once_per_graph(
     assert all(g is sc.network for g in graphs)
 
 
+def test_run_experiment_searches_the_oracle_once_per_graph(monkeypatch):
+    # the oracle is both the run's backbone and the message floor's
+    # minimum: one search serves both, every mode and every seed
+    from rumorcast import backbone
+
+    graphs = []
+    search = backbone._brute_force_mcds
+
+    def spy(g):
+        graphs.append(g)
+        return search(g)
+
+    monkeypatch.setattr(backbone, "_brute_force_mcds", spy)
+    sc = star_scenario(backbone_kind="oracle")
+    for mode in ("centralized", "distributed-cd", "distributed-nocd"):
+        assert run_experiment(replace(sc, mode=mode), [0, 1]).ok
+    assert graphs == [sc.network]
+    other = star_scenario(backbone_kind="oracle")
+    assert run_experiment(other, [0]).ok
+    assert graphs == [sc.network, other.network]
+
+
+def test_build_backbone_rejects_an_unknown_kind():
+    g, _ = gen_star_path(3, 1)
+    with pytest.raises(ScenarioError, match="unknown backbone kind 'nope'"):
+        build_backbone(g, "nope")
+
+
 def test_experiment_csv_rows_shape():
     rep = run_experiment(star_scenario(), [4])
     rows = experiment_csv_rows(rep)
@@ -248,6 +277,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     data["cfg"]["max_rounds"] = 1
     (tmp_path / "starved.json").write_text(json.dumps(data))
     assert main(["run", "--scenario", spath]) == 1
+
+
+def test_cli_run_flags_messages_below_the_floor(tmp_path, capsys):
+    # two rounds of a 19-node ring send 4 messages; the floor is 18
+    spath = tmp_path / "ring.json"
+    assert main(["gen", "ring", "--ring-size", "9", "--k", "2", "--c", "1",
+                 "--mode", "distributed-cd", "--out", str(spath)]) == 0
+    data = json.loads(spath.read_text())
+    data["cfg"]["max_rounds"] = 2
+    spath.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(spath), "--format", "json"]) == 1
+    run, = json.loads(capsys.readouterr().out)["runs"]
+    assert "messages 4 below floor 18" in run["violations"]
 
 
 def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
