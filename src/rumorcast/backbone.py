@@ -201,11 +201,19 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
 
     Picks are found by lazy evaluation (Minoux's accelerated greedy): the
     candidates of each node sit in a heap from the moment it is covered,
-    keyed ``(-gain, kind, pick)``; a pick stays a candidate while its first
-    node is not black.  ``wdeg[u]`` counts u's white neighbors; it drops by
-    one over a node's neighbors when that node leaves white, O(edges) in
-    all, so a single pick's gain is its count.  A pair (v, w) is pushed with
-    the upper bound ``wdeg[v] + wdeg[w]`` and recounted exactly when popped.
+    and a pick stays a candidate while its first node is not black.  Each
+    key is one int, ``((2n - gain) * 2 + kind) * n**2 + i(v) * n + i(w)``,
+    with kind 0 for a single pick (v,) and 1 for a pair (v, w), i the rank
+    by id (``node_index``) and i(w) = 0 for a single pick.  It orders
+    exactly as the tuple ``(-gain, kind, pick)`` would, as the pick part is
+    below n**2, and 2n exceeds every gain and pair bound, so no key is
+    negative.  One ``divmod`` by n**2 splits a popped key into gain and
+    kind (the quotient) and the pick.
+
+    ``wdeg[u]`` counts u's white neighbors; it drops by one over a node's
+    neighbors when that node leaves white, O(edges) in all, so a single
+    pick's gain is its count.  A pair (v, w) is pushed with the upper
+    bound ``wdeg[v] + wdeg[w]`` and recounted exactly when popped.
     Gains only fall as white nodes vanish, so every stored key is at least
     as good as the true one, and a popped key that survives recomputation
     unchanged (gain, kind and pick) is the very pick a full rescan would
@@ -221,7 +229,12 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
     if not is_strongly_connected(g):
         raise DisconnectedError("greedy_cds needs a connected network")
     ids = g.node_ids
+    index = g.node_index
     adj = g.adjacency
+    n = len(ids)
+    span = n * n  # the pick's share of a key: index(v) * n + index(w)
+    step = 2 * span  # one unit of gain
+    top_gain = 2 * n  # above any pair bound wdeg[v] + wdeg[w]
     white = set(ids)
     black: set = set()
     wdeg = {u: len(adj[u]) for u in ids}
@@ -242,39 +255,41 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
             leave_white(v)
         return fresh
 
-    def current_key(kind: int, pick: tuple):
-        """The pick's exact heap key, or None once it can never win."""
-        v = pick[0]
-        if v in black:
-            return None
-        if kind == 0:
-            return (-wdeg[v], 0, pick) if wdeg[v] else None
-        w = pick[1]
-        if w not in white:
-            return None
-        # w is white and adjacent to v, so it is counted among v's neighbors
-        return (-len(white.intersection((*adj[v], *adj[w]))), 1, pick)
-
     def push_candidates(v) -> None:
+        iv = index[v] * n
         if wdeg[v]:
-            heapq.heappush(heap, (-wdeg[v], 0, (v,)))
+            heapq.heappush(heap, (top_gain - wdeg[v]) * step + iv)
         for w in adj[v]:
             if w in white:
-                heapq.heappush(heap, (-(wdeg[v] + wdeg[w]), 1, (v, w)))
+                heapq.heappush(heap, (top_gain - wdeg[v] - wdeg[w]) * step
+                               + span + iv + index[w])
 
     first = min(ids, key=lambda u: (-len(adj[u]), u))
     for v in blacken(first):
         push_candidates(v)
 
     while white:
-        while True:
+        while True:  # re-key stale picks until the top one is exact
             top = heapq.heappop(heap)
-            now = current_key(top[1], top[2])
+            rank, pick = divmod(top, span)
+            v, w = ids[pick // n], ids[pick % n]
+            if v in black:
+                now = None
+            elif not rank & 1:
+                now = (top_gain - wdeg[v]) * step + pick if wdeg[v] else None
+            elif w in white:
+                # w is white and adjacent to v, so it is among v's neighbors
+                gain = len(white.intersection((*adj[v], *adj[w])))
+                now = (top_gain - gain) * step + span + pick
+            else:
+                now = None
             if now == top:
                 break
             if now is not None:
                 heapq.heappush(heap, now)
-        fresh = [v for u in top[2] for v in blacken(u)]
+        fresh = blacken(v)
+        if rank & 1:
+            fresh += blacken(w)
         for v in fresh:
             if v not in black:
                 push_candidates(v)

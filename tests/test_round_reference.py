@@ -32,6 +32,7 @@ import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -553,19 +554,28 @@ def test_shortcut_lone_data_slots_never_call_jammed(monkeypatch, mode):
 
 
 def senders_sharing_listeners(draw, g, ref, eligible, half):
-    # two or more senders with a listener in common, two of whose
-    # listeners would draw one ack slot; a listener that sends nothing
-    # draws its ack slot next, so its stream tells the slot in advance
-    if len(eligible) < 2:
-        return None
-    talkers = draw(st.sets(st.sampled_from(eligible), min_size=2))
-    heard = Counter(v for u in talkers for v in g.adjacency[u]
-                    if v not in talkers)
-    if max(heard.values(), default=0) < 2:
-        return None
-    if max(Counter(next_slot(ref[v], half) for v in heard).values()) < 2:
-        return None
-    return talkers
+    # two or more senders with a listener in common, and two listeners that
+    # hear a sender cleanly and would draw one ack slot: a sender's stream
+    # tells its data slot in advance, and a listener that sends nothing
+    # draws its ack slot next.  The talkers are drawn among the sets of
+    # eligible nodes that give such a round, so a round is thrown away only
+    # when no set does
+    slot = {u: next_slot(ref[u], half) for u in g.node_ids}
+
+    def fits(talkers):
+        heard = Counter(v for u in talkers for v in g.adjacency[u]
+                        if v not in talkers)
+        if max(heard.values(), default=0) < 2:
+            return False
+        by_slot = ref_by_slot({u: slot[u] for u in talkers})
+        clean = {v for talking in by_slot.values()
+                 for v, senders in ref_audible(g, talking).items()
+                 if len(senders) == 1 and v not in talkers}
+        return max(Counter(slot[v] for v in clean).values(), default=0) > 1
+
+    sets = [set(c) for size in range(2, len(eligible) + 1)
+            for c in combinations(eligible, size) if fits(c)]
+    return draw(st.sampled_from(sets)) if sets else None
 
 
 @settings(max_examples=100, deadline=None)
