@@ -24,6 +24,7 @@ from .model import (
     NetworkGraph,
     diameter,
     is_strongly_connected,
+    kept,
 )
 # Unused here, but perfbench/selftest.py checks that its tracer rebinds
 # this module's copy of bfs_distances.
@@ -174,16 +175,9 @@ def validate_backbone(g: NetworkGraph, bb: Backbone) -> None:
         raise BackboneError("parent links contain a cycle")
 
 
-def _kept(g: NetworkGraph, key: str, build) -> Backbone:
-    """``build(g)``, kept in the graph's dict; a raise keeps nothing."""
-    if key not in vars(g):
-        vars(g)[key] = build(g)
-    return vars(g)[key]
-
-
 def greedy_cds(g: NetworkGraph) -> Backbone:
     """``_greedy_cds(g)``, built once per graph."""
-    return _kept(g, "_greedy_cds", _greedy_cds)
+    return kept(g, "_greedy_cds", None, _greedy_cds, g)
 
 
 def _greedy_cds(g: NetworkGraph) -> Backbone:
@@ -302,7 +296,7 @@ def _greedy_cds(g: NetworkGraph) -> Backbone:
 
 def brute_force_mcds(g: NetworkGraph) -> Backbone:
     """``_brute_force_mcds(g)``, searched once per graph."""
-    return _kept(g, "_brute_force_mcds", _brute_force_mcds)
+    return kept(g, "_brute_force_mcds", None, _brute_force_mcds, g)
 
 
 def _brute_force_mcds(g: NetworkGraph) -> Backbone:
@@ -310,7 +304,9 @@ def _brute_force_mcds(g: NetworkGraph) -> Backbone:
 
     Checks candidate sets in increasing size and lexicographic order, so the
     result is the lexicographically smallest optimum.  Limited to networks
-    of at most BRUTE_FORCE_NODE_LIMIT nodes, symmetric and connected.
+    of at most BRUTE_FORCE_NODE_LIMIT nodes, symmetric, connected and not
+    empty.  When no smaller set passes, the whole node set, a connected
+    dominating set of every connected graph, is the answer.
     """
     ids = g.node_ids
     n = len(ids)
@@ -318,12 +314,11 @@ def _brute_force_mcds(g: NetworkGraph) -> Backbone:
         raise ModelError(
             f"brute_force_mcds is capped at {BRUTE_FORCE_NODE_LIMIT} nodes, "
             f"got {n}")
-    if not is_strongly_connected(g):
+    if not (ids and is_strongly_connected(g)):
         raise DisconnectedError("brute_force_mcds needs a connected network")
-    bit = {u: 1 << i for i, u in enumerate(ids)}
     full = (1 << n) - 1
-    cover = {u: bit[u] | sum(bit[v] for v in g.adjacency[u]) for u in ids}
-    for size in range(1, n + 1):
+    cover = {u: 1 << g.node_index[u] | g.reach[u] for u in ids}
+    for size in range(1, n):
         for combo in itertools.combinations(ids, size):
             mask = 0
             for u in combo:
@@ -334,7 +329,8 @@ def _brute_force_mcds(g: NetworkGraph) -> Backbone:
             parent = _member_walk(g, set(combo), combo[0])
             if len(parent) == size:
                 return Backbone(members=combo, root=combo[0], parent=parent)
-    raise DisconnectedError("no connected dominating set exists")
+    return Backbone(members=ids, root=ids[0],
+                    parent=_member_walk(g, g.adjacency, ids[0]))
 
 
 def dfs_cluster(g: NetworkGraph, members: Sequence) -> ClusterAssignment:

@@ -31,9 +31,11 @@ reception is one ``|=`` of the sender's front mask.  A full run numbers
 the plan's rumors once, bit i for ``plan.rumors[i]``, and turns rumors
 into masks and back only at its edges.  Its checks, plan and stage
 masks are built once per (graph, backbone, sources, c) and kept on the
-graph, so the seeds of an experiment share them.  A round keeps the raw
-slot and ack data it already computed and builds its ``SlotRecord``s
-only when they are read, which untraced runs never do.
+graph through ``model.kept``, so the seeds of an experiment share them;
+the slot count is kept the same way for the latest ``cfg``, so a run's
+rounds compute it once.  A round keeps the raw slot and ack data it
+already computed and builds its ``SlotRecord``s only when they are read,
+which untraced runs never do.
 
 Reception in a slot follows ``model.jammed`` over the talkers' reach
 masks: a listener reached by two or more talkers is jammed, one reached by
@@ -59,7 +61,7 @@ from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .backbone import Backbone, validate_backbone
 from .central import Plan, plan_multibroadcast, rumors_in
-from .model import ModelError, NetworkGraph, jammed
+from .model import ModelError, NetworkGraph, jammed, kept
 
 _EMPTY: Mapping = MappingProxyType({})  # a CD round's acks and verdicts
 
@@ -115,12 +117,9 @@ def slots_per_half(slot_factor: float, max_degree: int) -> int:
 def slot_count(g: NetworkGraph, cfg: SimConfig) -> int:
     """``slots_per_half`` of the supplied degree bound, or of the true
     maximum degree when none is supplied; kept on the graph for the latest
-    ``cfg`` (by identity), so the rounds of a run compute it once."""
-    kept = vars(g).get("_slot_count")
-    if kept is None or kept[0] is not cfg:
-        kept = vars(g)["_slot_count"] = (cfg, slots_per_half(
-            cfg.slot_factor, cfg.supplied_max_degree or g.max_degree))
-    return kept[1]
+    ``cfg``, so the rounds of a run compute it once."""
+    return kept(g, "_slot_count", cfg, slots_per_half, cfg.slot_factor,
+                cfg.supplied_max_degree or g.max_degree)
 
 
 class NodeState:
@@ -541,19 +540,20 @@ def _distribution_stages(g: NetworkGraph, plan: Plan):
 
 def _prepare(g: NetworkGraph, bb: Backbone, sources: Sequence[int | str],
              compression: int) -> tuple[Plan, list]:
-    """Check a run's inputs, then build its plan and its stages.
-
-    The result is kept in the graph's instance dict as one entry for this
-    backbone (by identity), these sources and this compression factor, so
-    the seeds of one experiment check and plan once; a call with another
-    backbone, other sources or another factor checks and plans afresh and
-    replaces the entry, and a failed check keeps nothing.
+    """A run's checked plan and stages, kept on the graph (``model.kept``)
+    for the latest (backbone, sources, compression factor), so the seeds
+    of one experiment check and plan once.  Another backbone, other
+    sources or another factor check and plan afresh and replace the entry;
+    a failed check keeps nothing and leaves the previous entry in place.
     """
     sources = tuple(sources)
-    key = (sources, compression)
-    kept = vars(g).get("_distributed_prep")
-    if kept is not None and kept[0] is bb and kept[1] == key:
-        return kept[2]
+    return kept(g, "_distributed_prep", (bb, sources, compression),
+                _checked_plan, g, bb, sources, compression)
+
+
+def _checked_plan(g: NetworkGraph, bb: Backbone, sources: tuple,
+                  compression: int) -> tuple[Plan, list]:
+    """Check a run's inputs, then build its plan and its stages."""
     if compression < 1:
         raise DistributedError(
             f"compression factor must be >= 1, got {compression}")
@@ -567,9 +567,7 @@ def _prepare(g: NetworkGraph, bb: Backbone, sources: Sequence[int | str],
         if s not in g.adjacency:
             raise ModelError(f"unknown source {s!r}")
     plan = plan_multibroadcast(g, bb, sources, compression)
-    prepared = plan, _collection_stages(plan) + _distribution_stages(g, plan)
-    vars(g)["_distributed_prep"] = (bb, key, prepared)
-    return prepared
+    return plan, _collection_stages(plan) + _distribution_stages(g, plan)
 
 
 def run_distributed_multibroadcast(g: NetworkGraph, bb: Backbone,

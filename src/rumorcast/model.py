@@ -115,10 +115,10 @@ class NetworkGraph:
 
     A graph is immutable after construction: ``node_ids``, ``symmetric``,
     ``max_degree``, the reach masks, connectivity and the diameter
-    are computed at most once per graph and cached on it, as are the
-    greedy and the oracle backbones (``backbone.greedy_cds`` and
-    ``brute_force_mcds``) and the latest distributed run's checked plan and
-    stages (``distributed._prepare``).
+    are computed at most once per graph and cached on it as properties.
+    ``kept`` is the only way other modules keep a fact on a graph: the
+    greedy and the oracle backbones, the slot count and the latest
+    distributed run's checked plan and stages.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -220,6 +220,22 @@ class _ReachMasks(dict):
             mask |= 1 << (i - low)
         self[u] = mask = mask << low
         return mask
+
+
+def kept(g: NetworkGraph, name: str, key, build, *args):
+    """``build(*args)``, kept on ``g`` under ``name`` for the latest ``key``.
+
+    A call whose key is the kept one (by identity, else by ``==``) returns
+    the kept value; another key builds afresh and replaces the entry.  A
+    raise in ``build`` keeps nothing and leaves the previous entry in
+    place.  The graph's own facts are cached properties instead.
+    """
+    entry = g.__dict__.get(name)
+    if entry is not None and (entry[0] is key or entry[0] == key):
+        return entry[1]
+    value = build(*args)
+    g.__dict__[name] = key, value
+    return value
 
 
 def _check_alpha(alpha: float) -> None:
@@ -491,13 +507,22 @@ def _float(data: Mapping, key: str) -> float:
     return float(_number(value, key))
 
 
+def _check_keys(data: Mapping, allowed: set, what: str,
+                error: type = ModelError) -> None:
+    """Raise ``error`` naming, sorted, the keys of ``data`` not allowed."""
+    extra = set(data) - allowed
+    if extra:
+        raise error(f"unknown {what} keys {sorted(extra)}")
+
+
 def network_from_dict(data: Mapping) -> NetworkGraph:
+    """A network from its JSON form, geometric or explicit adjacency (see
+    ``network_to_dict``); a key the form does not take raises ModelError,
+    so a misspelt key cannot load as a different network."""
     if not isinstance(data, Mapping):
         raise ModelError("network description must be an object")
     if "adjacency" in data:
-        if "nodes" in data or "obstacles" in data:
-            raise ModelError(
-                "explicit adjacency excludes nodes and obstacles")
+        _check_keys(data, {"adjacency", "alpha"}, "adjacency network")
         rows = data["adjacency"]
         if not isinstance(rows, (list, tuple)):
             raise ModelError(
@@ -524,6 +549,7 @@ def network_from_dict(data: Mapping) -> NetworkGraph:
                 f"malformed network description: {exc}") from exc
         _check_ids([*adj, *chain.from_iterable(adj.values())])
         return NetworkGraph.from_adjacency(adj, alpha=alpha)
+    _check_keys(data, {"nodes", "obstacles", "alpha", "strict"}, "network")
     try:
         nodes = [NodeSpec(n["id"], _float(n, "x"), _float(n, "y"),
                           _float(n, "power"))

@@ -16,8 +16,9 @@ Distributed runs reseed the slotted protocol per seed; the scenario's
 ``cfg`` carries the slot sizing while the mode and seed are stamped in
 at run time.  The backbone is built once for all seeds, and the
 distributed checks, plan and stage masks once per (graph, backbone,
-sources, c), kept on the graph, so each seed only arms fresh node
-states and runs the rounds, whose data slots deliver by node masks.
+sources, c); ``model.kept`` keeps both on the graph, so each seed only
+arms fresh node states and runs the rounds, whose data slots deliver by
+node masks.
 A seed's run cannot fail: the backbone comes from a builder, and the
 sources and the slot count were checked when the scenario was made.
 """
@@ -35,9 +36,9 @@ from .bounds import BoundReport, bound_report
 from .central import (Rumor, make_collision_free, multibroadcast_schedule,
                       simulate_schedule)
 from .distributed import SimConfig, run_distributed_multibroadcast, slot_count
-from .model import (NetworkGraph, _check_ids, _number, _read_json,
-                    is_strongly_connected, load_network, network_from_dict,
-                    network_to_dict)
+from .model import (NetworkGraph, _check_ids, _check_keys, _number,
+                    _read_json, is_strongly_connected, load_network,
+                    network_from_dict, network_to_dict)
 
 MODES = ("centralized", "distributed-cd", "distributed-nocd")
 BACKBONE_KINDS = ("greedy", "bounded-diameter", "oracle")
@@ -149,9 +150,7 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
     """
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario must be an object")
-    extra = set(data) - _SCENARIO_KEYS
-    if extra:
-        raise ScenarioError(f"unknown scenario keys {sorted(extra)}")
+    _check_keys(data, _SCENARIO_KEYS, "scenario", ScenarioError)
     missing = {"name", "network", "sources", "c"} - set(data)
     if missing:
         raise ScenarioError(f"scenario is missing keys {sorted(missing)}")
@@ -166,9 +165,7 @@ def scenario_from_dict(data: Mapping, *, base_dir: str = ".") -> Scenario:
     cfg_data = data.get("cfg", {})
     if not isinstance(cfg_data, Mapping):
         raise ScenarioError("cfg must be an object")
-    extra = set(cfg_data) - _CFG_KEYS
-    if extra:
-        raise ScenarioError(f"unknown cfg keys {sorted(extra)}")
+    _check_keys(cfg_data, _CFG_KEYS, "cfg", ScenarioError)
     sources = data["sources"]
     if not isinstance(sources, list) or any(
             isinstance(s, (list, dict)) for s in sources):

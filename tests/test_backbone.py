@@ -121,6 +121,12 @@ def test_brute_force_mcds_rejects_a_disconnected_graph():
         brute_force_mcds(g)
 
 
+def test_brute_force_mcds_rejects_an_empty_graph():
+    # no root exists, so an empty graph has no connected dominating set
+    with pytest.raises(DisconnectedError, match="needs a connected network"):
+        brute_force_mcds(NetworkGraph.from_adjacency({}))
+
+
 @st.composite
 def connected_graphs(draw, max_nodes=9):
     n = draw(st.integers(min_value=2, max_value=max_nodes))

@@ -343,3 +343,40 @@ def test_adjacency_graphs_hold_no_node_records():
 def test_diameter_of_an_empty_graph_is_refused():
     with pytest.raises(ModelError, match="empty graph"):
         diameter(NetworkGraph.from_adjacency({}))
+
+
+def walled_pair():
+    """Two nodes in range of each other, with a wall between them."""
+    return {"alpha": 2.0,
+            "nodes": [{"id": 0, "x": 0.0, "y": 0.0, "power": 1.0},
+                      {"id": 1, "x": 0.5, "y": 0.0, "power": 1.0}],
+            "obstacles": [{"x1": 0.25, "y1": -1.0, "x2": 0.25, "y2": 1.0}]}
+
+
+def test_a_network_key_its_form_does_not_take_is_refused():
+    data = walled_pair()
+    assert network_from_dict(data).adjacency == {0: (), 1: ()}
+    # a misspelt walls key would load the pair linked, with no wall
+    data["obstcles"] = data.pop("obstacles")
+    with pytest.raises(ModelError,
+                       match=r"unknown network keys \['obstcles'\]"):
+        network_from_dict(data)
+    data.update(power=1, alpha=2.0)
+    with pytest.raises(ModelError, match=r"\['obstcles', 'power'\]"):
+        network_from_dict(data)
+    adjacency = {"adjacency": [[0, [1]], [1, [0]]], "alpha": 2.0}
+    assert network_from_dict(adjacency).adjacency == {0: (1,), 1: (0,)}
+    # strict cuts links at the radius, which an adjacency network has not
+    with pytest.raises(ModelError, match=r"unknown adjacency network keys "
+                                         r"\['strict'\]"):
+        network_from_dict({**adjacency, "strict": True})
+
+
+def test_network_to_dict_writes_only_the_keys_its_form_takes():
+    geometric = network_from_dict(walled_pair())
+    combinatorial = NetworkGraph.from_adjacency({0: [1], 1: [0]})
+    for g, keys in ((geometric, {"nodes", "obstacles", "alpha", "strict"}),
+                    (combinatorial, {"adjacency", "alpha"})):
+        d = network_to_dict(g)
+        assert set(d) == keys
+        assert network_to_dict(network_from_dict(d)) == d

@@ -822,3 +822,16 @@ def test_cli_gen_oracle_backbone_at_its_cap_runs(tmp_path, capsys):
     assert main(["gen", "udg", "--n", "16", "--k", "2", "--c", "2",
                  "--backbone", "oracle", "--out", out]) == 0
     assert main(["run", "--scenario", out]) == 0
+
+
+@pytest.mark.parametrize("network, want", [
+    ({"nodes": [{"id": i, "x": 0.5 * i, "y": 0.0, "power": 1.0}
+                for i in (0, 1)], "obstcles": []},
+     "error: unknown network keys ['obstcles']\n"),
+    ({"adjacency": [[0, [1]], [1, [0]]], "strict": True},
+     "error: unknown adjacency network keys ['strict']\n"),
+], ids=["misspelt-obstacles", "strict-adjacency"])
+def test_cli_unknown_network_key_exits_2(tmp_path, capsys, network, want):
+    err = _refused(tmp_path, capsys, {"name": "net", "network": network,
+                                      "sources": [0], "c": 1})
+    assert err == want
